@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,11 +29,9 @@ def _load(args) -> ExperimentConfig:
         config = default_config()
     else:
         config = load_config(args.config)
-    if getattr(args, "out", None):
-        config.out_dir = args.out
-    if getattr(args, "substeps", None):
-        config.integrator_substeps = args.substeps
-    return config
+    # replace() reruns __post_init__, so an override is validated like the file
+    overrides = {"out_dir": args.out, "integrator_substeps": args.substeps}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

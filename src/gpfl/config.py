@@ -8,6 +8,7 @@ written with 17 significant digits so parse -> serialize -> parse is exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,11 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            # NaN slips through every range check below (all comparisons are
+            # false), so it is rejected here together with +-inf
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         self.eval_seeds = tuple(int(s) for s in self.eval_seeds)
         self.controllers = tuple(str(c) for c in self.controllers)
         if self.nominal_kind not in NOMINAL_KINDS:

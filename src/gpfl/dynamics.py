@@ -196,9 +196,10 @@ def forward_dynamics(model: ManipulatorModel, state: RobotState, tau: np.ndarray
     """Joint accelerations from applied torque, via an SPD (Cholesky) solve."""
     tau = np.asarray(tau, dtype=float)
     _check_dim(model, tau)
+    _check_dim(model, state.q)
     if not np.all(np.isfinite(tau)):
         raise ValueError("torque entries must be finite")
-    return _accel(model, state.q, state.dq, tau)
+    return np.array(_accel(model, *state.q.tolist(), *state.dq.tolist(), *tau.tolist()))
 
 
 def potential_energy(model: ManipulatorModel, q) -> float:
@@ -224,19 +225,19 @@ def _check_dim(model: ManipulatorModel, v: np.ndarray) -> None:
         raise ValueError(f"expected vector of length {model.n_joints}, got shape {v.shape}")
 
 
-def _accel(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
-    # Scalarized hot path: simulate calls this tens of thousands of times.
+def _accel(model: ManipulatorModel, q1: float, q2: float, dq1: float, dq2: float,
+           tau1: float, tau2: float) -> tuple[float, float]:
+    # The single dynamics kernel, on Python floats: simulate's RK4 calls it
+    # four times per substep and forward_dynamics wraps it for arrays.
     a, b, c, g1c, g2c = model._coeffs
-    q1, q2 = q[0], q[1]
-    dq1, dq2 = dq[0], dq[1]
     c2 = math.cos(q2)
     h = b * math.sin(q2)
 
     m11 = a + 2.0 * b * c2
     m12 = c + b * c2
     g12 = g2c * math.cos(q1 + q2)
-    r1 = tau[0] + h * (2.0 * dq1 * dq2 + dq2 * dq2) - g1c * math.cos(q1) - g12
-    r2 = tau[1] - h * dq1 * dq1 - g12
+    r1 = tau1 + h * (2.0 * dq1 * dq2 + dq2 * dq2) - g1c * math.cos(q1) - g12
+    r2 = tau2 - h * dq1 * dq1 - g12
 
     # 2x2 Cholesky solve; failure means M(q) is not positive definite.
     if m11 <= 0.0:
@@ -251,7 +252,7 @@ def _accel(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
     y2 = (r2 - l21 * y1) / l22
     x2 = y2 / l22
     x1 = (y1 - l21 * x2) / l11
-    return np.array([x1, x2])
+    return x1, x2
 
 
 @dataclass
@@ -285,8 +286,8 @@ def simulate(model: ManipulatorModel,
     The controller is invoked once per tick at `control_rate` Hz and its
     torque is held constant while the continuous dynamics are advanced with
     `integrator_substeps` RK4 steps per tick.  Raises SimulationAborted with
-    the offending tick index if the controller returns a non-finite torque or
-    the state leaves the finite range.
+    the offending tick index if the controller raises an ArithmeticError or
+    returns a non-finite torque, or if the state leaves the finite range.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -294,47 +295,65 @@ def simulate(model: ManipulatorModel,
         raise ValueError("control_rate must be positive")
     if integrator_substeps < 1:
         raise ValueError("integrator_substeps must be >= 1")
+    _check_dim(model, initial.q)
 
     n = model.n_joints
     n_ticks = int(round(duration * control_rate))
     dt = 1.0 / control_rate
     h = dt / integrator_substeps
 
-    q = initial.q.astype(float).copy()
-    dq = initial.dq.astype(float).copy()
+    # the state lives in four floats; the arrays only record it per tick
+    q1, q2 = initial.q.tolist()
+    dq1, dq2 = initial.dq.tolist()
     times = np.arange(n_ticks) * dt
     qs = np.empty((n_ticks, n))
     dqs = np.empty((n_ticks, n))
     taus = np.empty((n_ticks, n))
+    isfinite = math.isfinite
 
     for k in range(n_ticks):
-        tau = np.asarray(controller(times[k], RobotState(q.copy(), dq.copy())), dtype=float)
-        if tau.shape != (n,) or not np.all(np.isfinite(tau)):
+        state = RobotState(np.array([q1, q2]), np.array([dq1, dq2]))
+        try:
+            tau = np.asarray(controller(times[k], state), dtype=float)
+        except ArithmeticError as exc:
+            raise SimulationAborted(k, f"controller raised {type(exc).__name__}: {exc}") from exc
+        if tau.shape != (n,):
+            raise SimulationAborted(k, f"controller returned a torque of shape {tau.shape}")
+        tau1, tau2 = tau.tolist()
+        if not (isfinite(tau1) and isfinite(tau2)):
             raise SimulationAborted(k, "controller returned a non-finite torque")
-        qs[k] = q
-        dqs[k] = dq
-        taus[k] = tau
+        qs[k] = q1, q2
+        dqs[k] = dq1, dq2
+        taus[k] = tau1, tau2
         try:
             for _ in range(integrator_substeps):
-                q, dq = _rk4_step(model, q, dq, tau, h)
-        except (ValueError, OverflowError, FloatingPointError):
+                q1, q2, dq1, dq2 = _rk4_step(model, q1, q2, dq1, dq2, tau1, tau2, h)
+        except (ValueError, ArithmeticError):
             # trig/arithmetic on an overflowed state; report as divergence
             raise SimulationAborted(k, "state became non-finite") from None
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dq))):
+        if not (isfinite(q1) and isfinite(q2) and isfinite(dq1) and isfinite(dq2)):
             raise SimulationAborted(k, "state became non-finite")
 
-    return RunTrace(times, qs, dqs, taus, RobotState(q, dq))
+    return RunTrace(times, qs, dqs, taus,
+                    RobotState(np.array([q1, q2]), np.array([dq1, dq2])))
 
 
-def _rk4_step(model, q, dq, tau, h):
-    k1q = dq
-    k1v = _accel(model, q, dq, tau)
-    k2q = dq + 0.5 * h * k1v
-    k2v = _accel(model, q + 0.5 * h * k1q, k2q, tau)
-    k3q = dq + 0.5 * h * k2v
-    k3v = _accel(model, q + 0.5 * h * k2q, k3q, tau)
-    k4q = dq + h * k3v
-    k4v = _accel(model, q + h * k3q, k4q, tau)
-    q_next = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    dq_next = dq + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return q_next, dq_next
+def _rk4_step(model, q1, q2, dq1, dq2, tau1, tau2, h):
+    # Same operation order as the textbook vector form, one component at a
+    # time: k1q = dq, k2q = dq + h/2 k1v, ..., x += h/6 (k1 + 2 k2 + 2 k3 + k4).
+    hh = 0.5 * h
+    k1v1, k1v2 = _accel(model, q1, q2, dq1, dq2, tau1, tau2)
+    k2q1 = dq1 + hh * k1v1
+    k2q2 = dq2 + hh * k1v2
+    k2v1, k2v2 = _accel(model, q1 + hh * dq1, q2 + hh * dq2, k2q1, k2q2, tau1, tau2)
+    k3q1 = dq1 + hh * k2v1
+    k3q2 = dq2 + hh * k2v2
+    k3v1, k3v2 = _accel(model, q1 + hh * k2q1, q2 + hh * k2q2, k3q1, k3q2, tau1, tau2)
+    k4q1 = dq1 + h * k3v1
+    k4q2 = dq2 + h * k3v2
+    k4v1, k4v2 = _accel(model, q1 + h * k3q1, q2 + h * k3q2, k4q1, k4q2, tau1, tau2)
+    h6 = h / 6.0
+    return (q1 + h6 * (dq1 + 2.0 * k2q1 + 2.0 * k3q1 + k4q1),
+            q2 + h6 * (dq2 + 2.0 * k2q2 + 2.0 * k3q2 + k4q2),
+            dq1 + h6 * (k1v1 + 2.0 * k2v1 + 2.0 * k3v1 + k4v1),
+            dq2 + h6 * (k1v2 + 2.0 * k2v2 + 2.0 * k3v2 + k4v2))

@@ -126,6 +126,27 @@ def info_gain_exhaustive(candidates, kernel_fn, noise_var, budget):
     return best
 
 
+def rk4_step_vector(accel, q, dq, tau, h):
+    """One classical RK4 step of (q, dq) written on numpy vectors.
+
+    `accel(q, dq, tau)` returns the joint accelerations as an array.  The
+    operation order is the textbook one (k2 = dq + h/2 k1, ...,
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4)), so a per-component implementation that
+    keeps it must agree bit for bit.
+    """
+    k1q = dq
+    k1v = accel(q, dq, tau)
+    k2q = dq + 0.5 * h * k1v
+    k2v = accel(q + 0.5 * h * k1q, k2q, tau)
+    k3q = dq + 0.5 * h * k2v
+    k3v = accel(q + 0.5 * h * k2q, k3q, tau)
+    k4q = dq + h * k3v
+    k4v = accel(q + h * k3q, k4q, tau)
+    q_next = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    dq_next = dq + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return q_next, dq_next
+
+
 def finite_difference_inertia_rate(inertia_fn, q, dq, h=1e-6):
     """Central-difference estimate of dM/dt = sum_k dM/dq_k * dq_k."""
     n = len(q)

@@ -46,6 +46,14 @@ class TestRunCommand:
         assert main(["run", "--config", config, "--controller", "true",
                      "--substeps", "3"]) == 0
 
+    @pytest.mark.parametrize("substeps", ["0", "-2"])
+    def test_nonpositive_substeps_rejected(self, tmp_path, capsys, substeps):
+        config = _write_config(tmp_path)
+        assert main(["run", "--config", config, "--controller", "true",
+                     "--substeps", substeps]) == 1
+        assert "gpfl: bad config" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_unknown_controller_rejected_by_parser(self, tmp_path):
         config = _write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:

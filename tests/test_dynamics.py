@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpfl import dynamics
 from gpfl.dynamics import (ManipulatorModel, RobotState, ScaledIdentityNominal,
                            SimulationAborted, TrueModelNominal, coriolis,
                            forward_dynamics, gravity, inertia,
                            inverse_dynamics, kinetic_energy, potential_energy,
                            simulate, total_energy)
-from oracles import TwoLinkOracle, finite_difference_inertia_rate
+from oracles import (TwoLinkOracle, finite_difference_inertia_rate,
+                     rk4_step_vector)
 
 UNIT_RODS = ManipulatorModel(masses=(1.0, 1.0), lengths=(1.0, 1.0),
                              com_offsets=(0.5, 0.5),
@@ -155,6 +157,22 @@ class TestNominalModels:
                                        v, atol=1e-12)
 
 
+class TestRk4Kernel:
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from([UNIT_RODS, ASYMMETRIC, ManipulatorModel()]),
+           q=st.tuples(angles, angles), dq=st.tuples(rates, rates),
+           tau=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+           h=st.floats(1e-6, 0.1))
+    def test_scalar_step_equals_vector_step_exactly(self, model, q, dq, tau, h):
+        def accel(qv, dqv, tauv):
+            return forward_dynamics(model, RobotState(qv, dqv), tauv)
+
+        q_ref, dq_ref = rk4_step_vector(accel, np.array(q), np.array(dq),
+                                        np.array(tau), h)
+        got = dynamics._rk4_step(model, *q, *dq, *tau, h)
+        assert got == (*q_ref.tolist(), *dq_ref.tolist())
+
+
 class TestModelValidation:
     def test_rejects_wrong_joint_count(self):
         with pytest.raises(ValueError):
@@ -221,6 +239,18 @@ class TestSimulate:
         with pytest.raises(SimulationAborted) as exc:
             simulate(UNIT_RODS, controller, initial, 1.0, 100.0)
         assert exc.value.tick == 7
+
+    def test_controller_arithmetic_error_aborts_at_its_tick(self):
+        def controller(t, state):
+            if t >= 0.03:
+                raise FloatingPointError("posterior variance below the clamp")
+            return np.zeros(2)
+
+        initial = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
+        with pytest.raises(SimulationAborted) as exc:
+            simulate(UNIT_RODS, controller, initial, 1.0, 100.0)
+        assert exc.value.tick == 3
+        assert "FloatingPointError" in exc.value.reason
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_divergent_state(self):

@@ -116,6 +116,16 @@ class TestConfigIo:
         with pytest.raises(ValueError):
             ExperimentConfig(eval_seeds=())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [
+        "m1", "m2", "l1", "l2", "r1", "r2", "i1", "i2", "gravity",
+        "nominal_scale", "kp", "kd", "epsilon", "beta", "delta", "noise_std",
+        "gp_init_lam", "gp_init_lengthscale", "omega_min", "omega_max",
+        "duration", "control_rate", "initial_offset_q", "initial_offset_dq"])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
 
 @pytest.fixture(scope="module")
 def small_experiment(tmp_path_factory):
@@ -224,6 +234,20 @@ class TestAbortHandling:
         assert fields[2] == "nan"
         assert fields[-1].startswith("aborted@")
         assert "FAILED" in (tmp_path / "summary.txt").read_text()
+
+    def test_controller_error_aborts_one_run_not_the_sweep(self, tmp_path, monkeypatch):
+        def failing(nominal, gains, state, desired):
+            raise FloatingPointError("posterior variance below the clamp")
+
+        monkeypatch.setattr("gpfl.harness.control_nominal", failing)
+        config = ExperimentConfig(duration=0.5, eval_seeds=(0,),
+                                  controllers=("true", "nominal"),
+                                  out_dir=str(tmp_path))
+        summary = run_experiment(config)
+        status = {r.controller: r.status for r in summary.results}
+        assert status["true"] == "ok"
+        assert status["nominal"].startswith("aborted@0: ")
+        assert "FloatingPointError" in status["nominal"]
 
 
 class TestLyapunovDecreaseMechanism:
