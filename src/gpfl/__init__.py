@@ -1,9 +1,8 @@
 """GP-compensated robust feedback linearization for a planar two-link arm."""
 
 from .config import ExperimentConfig, default_config, load_config, save_config
-from .control import (ControllerSpec, ControlTickLog, GainSpec, LyapunovDesign,
-                      control_gp, control_nominal, control_robust_gp,
-                      control_true, design_lyapunov, gp_query_acceleration)
+from .control import (ControllerSpec, GainSpec, LyapunovDesign, control,
+                      design_lyapunov, diagnostic_arrays, gp_query_acceleration)
 from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RobotState,
                        RunTrace, ScaledIdentityNominal, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, gravity,

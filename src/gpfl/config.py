@@ -20,7 +20,7 @@ from .gpr import RHO_SCALINGS, BoundParams
 NOMINAL_KINDS = ("scaled_identity", "true_model")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Every parameter of the tracking experiment, flat for easy (de)serialization."""
 
@@ -74,8 +74,8 @@ class ExperimentConfig:
             # false), so it is rejected here together with +-inf
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        self.eval_seeds = tuple(int(s) for s in self.eval_seeds)
-        self.controllers = tuple(str(c) for c in self.controllers)
+        object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
+        object.__setattr__(self, "controllers", tuple(str(c) for c in self.controllers))
         if self.nominal_kind not in NOMINAL_KINDS:
             raise ValueError(f"nominal_kind must be one of {NOMINAL_KINDS}")
         if self.rho_scaling not in RHO_SCALINGS:
@@ -156,7 +156,7 @@ def _parse_value(name: str, field_type, raw: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a key=value config file; unknown keys are an error."""
+    """Parse a key=value config file; unknown or repeated keys are an error."""
     field_map = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     type_map = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
     values = {}
@@ -171,6 +171,8 @@ def load_config(path) -> ExperimentConfig:
             key = key.strip()
             if key not in field_map:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             values[key] = _parse_value(key, type_map[key], raw)
     return ExperimentConfig(**values)
 

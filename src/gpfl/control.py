@@ -1,9 +1,14 @@
-"""Feedback-linearization control laws and the robust term.
+"""Feedback-linearization control law and its robust term.
 
-Four variants are compared: exact computed torque from the true model, the
-same law on a deliberately crude nominal model, the nominal law plus the GP
-mismatch compensation, and the full robust law that adds a confidence-bound
-sliding action w with a boundary layer.  All controllers are pure functions;
+The four compared controllers are one law with terms switched on:
+
+    tau = M_hat(q) a + n_hat(q, dq) [+ GP mean] [+ w(rho)]
+
+with the commanded acceleration a = ddq_d + K_P q_err + K_D dq_err.
+`nominal` is the bare law on a deliberately crude model, `gp` adds the GP
+posterior mean of the mismatch, and `robust_gp` also adds the sliding term w,
+sized by the confidence bound rho, with a boundary layer.  `true` is the bare
+law on the exact model (`TrueModelNominal`).  The law is a pure function;
 per-tick state lives in the simulation loop.
 """
 
@@ -15,9 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from . import gpr
-from .dynamics import ManipulatorModel, RobotState, coriolis, gravity, inertia
+from .dynamics import RobotState
 
-VARIANTS = ("true", "nominal", "gp", "robust_gp")
+# variant -> (add the GP mean, add the robust term w)
+TERMS = {"true": (False, False), "nominal": (False, False),
+         "gp": (True, False), "robust_gp": (True, True)}
+VARIANTS = tuple(TERMS)
 
 LYAPUNOV_RESIDUAL_TOL = 1e-8
 
@@ -54,14 +62,10 @@ class LyapunovDesign:
             if np.linalg.eigvalsh(m).min() <= 0:
                 raise ValueError(f"{name} must be positive definite")
 
-    @property
-    def n_joints(self) -> int:
-        return self.Q.shape[0] // 2
-
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Controller variant plus everything the variant needs."""
+    """One row of the controller table: the variant and what its terms need."""
 
     variant: str
     gains: GainSpec
@@ -71,62 +75,15 @@ class ControllerSpec:
     bounds: gpr.BoundParams | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in TERMS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.epsilon < 0:
             raise ValueError("boundary layer epsilon must be >= 0")
-        if self.variant in ("gp", "robust_gp") and self.gp is None:
+        add_mean, add_w = TERMS[self.variant]
+        if add_mean and self.gp is None:
             raise ValueError(f"variant {self.variant!r} needs a trained GP")
-        if self.variant == "robust_gp":
-            if self.lyapunov is None:
-                raise ValueError("robust_gp needs a LyapunovDesign")
-            if self.bounds is None:
-                raise ValueError("robust_gp needs BoundParams")
-
-
-@dataclass
-class ControlTickLog:
-    """Per-tick record emitted by the robust controller, filled by the harness."""
-
-    time: float
-    q: np.ndarray
-    dq: np.ndarray
-    q_err: np.ndarray
-    dq_err: np.ndarray
-    tau: np.ndarray
-    rho: float | None = None
-    e_hat_mean: np.ndarray | None = None
-    e_hat_var: np.ndarray | None = None
-    v_lyap: float | None = None
-    z_norm: float | None = None
-    e_true: np.ndarray | None = None
-
-
-def design_lyapunov(gains: GainSpec, n_joints: int,
-                    P: np.ndarray | None = None) -> LyapunovDesign:
-    """Solve H^T Q + Q H = -P for the closed-loop error dynamics.
-
-    H = [[0, I], [-K_P, -K_D]] is Hurwitz for positive gains, so a unique
-    symmetric positive-definite Q exists for any positive-definite P
-    (default identity).
-    """
-    if n_joints < 1:
-        raise ValueError("n_joints must be >= 1")
-    n = n_joints
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, n:] = np.eye(n)
-    H[n:, :n] = -gains.kp * np.eye(n)
-    H[n:, n:] = -gains.kd * np.eye(n)
-    if P is None:
-        P = np.eye(2 * n)
-    else:
-        P = np.asarray(P, dtype=float)
-    Q = scipy.linalg.solve_continuous_lyapunov(H.T, -P)
-    Q = 0.5 * (Q + Q.T)
-    residual = np.linalg.norm(H.T @ Q + Q @ H + P)
-    if residual > LYAPUNOV_RESIDUAL_TOL:
-        raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} too large")
-    return LyapunovDesign(Q=Q, P=P)
+        if add_w and (self.lyapunov is None or self.bounds is None):
+            raise ValueError("robust_gp needs a LyapunovDesign and BoundParams")
 
 
 def error_matrix(gains: GainSpec, n_joints: int) -> np.ndarray:
@@ -139,83 +96,95 @@ def error_matrix(gains: GainSpec, n_joints: int) -> np.ndarray:
     return H
 
 
-def _errors_and_aux(gains: GainSpec, state: RobotState, desired):
-    qd, dqd, ddqd = desired
-    q_err = np.asarray(qd, dtype=float) - state.q
-    dq_err = np.asarray(dqd, dtype=float) - state.dq
-    aux = np.asarray(ddqd, dtype=float) + gains.kp * q_err + gains.kd * dq_err
-    return q_err, dq_err, aux
+def design_lyapunov(gains: GainSpec, n_joints: int,
+                    P: np.ndarray | None = None) -> LyapunovDesign:
+    """Solve H^T Q + Q H = -P for the closed-loop error dynamics.
+
+    H = [[0, I], [-K_P, -K_D]] is Hurwitz for positive gains, so a unique
+    symmetric positive-definite Q exists for any positive-definite P
+    (default identity).
+    """
+    if n_joints < 1:
+        raise ValueError("n_joints must be >= 1")
+    H = error_matrix(gains, n_joints)
+    P = np.eye(2 * n_joints) if P is None else np.asarray(P, dtype=float)
+    Q = scipy.linalg.solve_continuous_lyapunov(H.T, -P)
+    Q = 0.5 * (Q + Q.T)
+    residual = np.linalg.norm(H.T @ Q + Q @ H + P)
+    if residual > LYAPUNOV_RESIDUAL_TOL:
+        raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} too large")
+    return LyapunovDesign(Q=Q, P=P)
 
 
 def gp_query_acceleration(ddq_d, q_err, dq_err, gains: GainSpec) -> np.ndarray:
-    """Commanded auxiliary acceleration a = ddq_d + K_P q_err + K_D dq_err.
+    """Commanded acceleration a = ddq_d + K_P q_err + K_D dq_err.
 
-    Used as the acceleration slot of the GP query, since the realized
-    acceleration depends on the torque still being computed.
+    The law feeds it through the nominal inertia and uses it as the
+    acceleration slot of the GP query, since the realized acceleration
+    depends on the torque still being computed.
     """
     return (np.asarray(ddq_d, dtype=float)
             + gains.kp * np.asarray(q_err, dtype=float)
             + gains.kd * np.asarray(dq_err, dtype=float))
 
 
-def control_true(model: ManipulatorModel, gains: GainSpec,
-                 state: RobotState, desired) -> np.ndarray:
-    """Exact computed torque: tau = M(q) a + C(q, dq) dq + g(q)."""
-    _, _, aux = _errors_and_aux(gains, state, desired)
-    return (inertia(model, state.q) @ aux
-            + coriolis(model, state.q, state.dq) @ state.dq
-            + gravity(model, state.q))
+def diagnostic_arrays(n_ticks: int, n_joints: int) -> dict:
+    """Per-tick record of the robust term, keyed like the trace-CSV columns.
+
+    Rows of ticks that never ran stay nan.  `control` fills every key but
+    `etrue`, the true mismatch, which needs the true model.
+    """
+    return {"rho": np.full(n_ticks, np.nan),
+            "ehat": np.full((n_ticks, n_joints), np.nan),
+            "evar": np.full((n_ticks, n_joints), np.nan),
+            "etrue": np.full((n_ticks, n_joints), np.nan),
+            "V": np.full(n_ticks, np.nan),
+            "z_norm": np.full(n_ticks, np.nan)}
 
 
-def control_nominal(nominal, gains: GainSpec, state: RobotState,
-                    desired) -> np.ndarray:
-    """Computed torque on the nominal model: tau = M_hat a + n_hat."""
-    _, _, aux = _errors_and_aux(gains, state, desired)
-    return nominal.inertia(state.q) @ aux + nominal.bias(state.q, state.dq)
-
-
-def control_gp(nominal, gp: gpr.GpModel, gains: GainSpec, state: RobotState,
-               desired, ddq_for_gp) -> np.ndarray:
-    """Nominal law plus the GP posterior-mean mismatch compensation."""
-    x = np.concatenate([state.q, state.dq, np.asarray(ddq_for_gp, dtype=float)])
-    mean, _ = gpr.predict(gp, x)
-    return control_nominal(nominal, gains, state, desired) + mean
-
-
-def control_robust_gp(nominal, gp: gpr.GpModel, gains: GainSpec,
-                      lyapunov: LyapunovDesign, bounds: gpr.BoundParams,
-                      epsilon: float, state: RobotState, desired,
-                      ddq_for_gp):
-    """Full robust law: tau = M_hat a + n_hat + e_hat + w.
+def control(spec: ControllerSpec, nominal, state: RobotState, desired,
+            diagnostics: dict | None = None, k: int = 0):
+    """tau = M_hat a + n_hat [+ GP mean] [+ w], with the terms `spec` turns on.
 
     w = rho * z / ||z|| outside the boundary layer ||z|| >= epsilon and
-    rho * z / epsilon inside it, with z = M_hat(q)^{-1} D^T Q xi.
+    rho * z / epsilon inside it, with z = M_hat(q)^{-1} D^T Q xi.  Returns
+    (tau, a).  For `robust_gp`, row k of `diagnostics` (from
+    `diagnostic_arrays`), if given, records rho, the GP mean and variance,
+    V = xi^T Q xi and ||z||.
     """
-    if epsilon < 0:
-        raise ValueError("boundary layer epsilon must be >= 0")
-    q_err, dq_err, aux = _errors_and_aux(gains, state, desired)
-    n = len(q_err)
+    add_mean, add_w = TERMS[spec.variant]
+    qd, dqd, ddqd = desired
+    q, dq = state.q, state.dq
+    q_err = np.asarray(qd, dtype=float) - q
+    dq_err = np.asarray(dqd, dtype=float) - dq
+    a = gp_query_acceleration(ddqd, q_err, dq_err, spec.gains)
+    tau = nominal.inertia(q) @ a + nominal.bias(q, dq)
+    if not add_mean:
+        return tau, a
 
-    x = np.concatenate([state.q, state.dq, np.asarray(ddq_for_gp, dtype=float)])
-    mean, variance = gpr.predict(gp, x)
-    rho, _ = gpr.rho_from_mean_var(mean, variance, bounds)
+    mean, variance = gpr.predict(spec.gp, np.concatenate([q, dq, a]))
+    tau = tau + mean
+    if not add_w:
+        return tau, a
+
+    rho, _ = gpr.rho_from_mean_var(mean, variance, spec.bounds)
     if not np.isfinite(rho):
         raise FloatingPointError("rho bound is non-finite")
-
+    n = len(q_err)
+    Q = spec.lyapunov.Q
     xi = np.concatenate([q_err, dq_err])
-    z = nominal.apply_inverse(state.q, lyapunov.Q[n:, :] @ xi)
+    z = nominal.apply_inverse(q, Q[n:, :] @ xi)
     z_norm = float(np.linalg.norm(z))
-    if z_norm >= epsilon and z_norm > 0.0:
+    if z_norm >= spec.epsilon and z_norm > 0.0:
         w = rho * z / z_norm
-    elif epsilon > 0.0:
-        w = rho * z / epsilon
+    elif spec.epsilon > 0.0:
+        w = rho * z / spec.epsilon
     else:
         w = np.zeros(n)
-
-    tau = (nominal.inertia(state.q) @ aux + nominal.bias(state.q, state.dq)
-           + mean + w)
-    log = ControlTickLog(time=0.0, q=state.q.copy(), dq=state.dq.copy(),
-                         q_err=q_err, dq_err=dq_err, tau=tau, rho=rho,
-                         e_hat_mean=mean, e_hat_var=variance,
-                         v_lyap=float(xi @ lyapunov.Q @ xi), z_norm=z_norm)
-    return tau, log
+    if diagnostics is not None:
+        diagnostics["rho"][k] = rho
+        diagnostics["ehat"][k] = mean
+        diagnostics["evar"][k] = variance
+        diagnostics["V"][k] = float(xi @ Q @ xi)
+        diagnostics["z_norm"][k] = z_norm
+    return tau + w, a

@@ -73,11 +73,6 @@ class ManipulatorModel:
     def n_joints(self) -> int:
         return len(self.masses)
 
-    @classmethod
-    def default_rod_links(cls, gravity: float = 9.81) -> "ManipulatorModel":
-        """Two uniform rods (3 kg, 1 m, COM at midpoint, I = m l^2 / 12)."""
-        return cls(gravity=gravity)
-
     @cached_property
     def _coeffs(self) -> tuple[float, ...]:
         # Constant pieces of M, C and g; only cos/sin of q2 vary at runtime.

@@ -10,6 +10,7 @@ estimate and the lemma-style beta.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -460,6 +461,7 @@ def save_dataset_csv(dataset: GpDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> GpDataset:
+    """Inverse of save_dataset_csv: q/dq/ddq<j> inputs, e<i> targets, nothing else."""
     noise_std = 0.0
     header = None
     rows = []
@@ -474,13 +476,16 @@ def load_dataset_csv(path) -> GpDataset:
                     noise_std = float(value)
                 continue
             if header is None:
-                header = line.split(",")
+                header = [name.strip() for name in line.split(",")]
                 continue
             rows.append([float(v) for v in line.split(",")])
     if header is None or not rows:
         raise ValueError(f"no data rows in {path}")
     data = np.array(rows)
-    target_cols = [i for i, name in enumerate(header) if name.startswith("e")]
+    for name in header:
+        if not re.fullmatch(r"(q|dq|ddq|e)\d+", name):
+            raise ValueError(f"{path}: unknown column {name!r}")
+    target_cols = [i for i, name in enumerate(header) if name[0] == "e"]
     input_cols = [i for i in range(len(header)) if i not in target_cols]
     if not target_cols:
         raise ValueError(f"no target columns (e*) in {path}")
@@ -516,12 +521,18 @@ def load_model_txt(path):
                 continue
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
-    n_outputs = int(meta["n_outputs"])
-    input_dim = int(meta["input_dim"])
+
+    def need(key):
+        if key not in meta:
+            raise ValueError(f"{path}: missing key {key!r}")
+        return meta[key]
+
+    n_outputs = int(need("n_outputs"))
+    input_dim = int(need("input_dim"))
     params = []
     for i in range(1, n_outputs + 1):
-        lam = float(meta[f"output{i}.lambda"])
-        ls = np.array([float(meta[f"output{i}.lengthscale{d}"])
+        lam = float(need(f"output{i}.lambda"))
+        ls = np.array([float(need(f"output{i}.lengthscale{d}"))
                        for d in range(1, input_dim + 1)])
         params.append(SeKernelParams(lam=lam, lengthscales=ls))
     return params, meta

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import gpr
 from .config import ExperimentConfig
-from .control import (GainSpec, LyapunovDesign, control_gp, control_nominal,
-                      control_robust_gp, control_true, design_lyapunov,
-                      error_matrix, gp_query_acceleration)
+from .control import (ControllerSpec, GainSpec, LyapunovDesign, control,
+                      design_lyapunov, diagnostic_arrays, error_matrix)
 from .dynamics import (ManipulatorModel, RobotState, RunTrace,
-                       SimulationAborted, coriolis, forward_dynamics, inertia,
-                       inverse_dynamics, simulate, total_energy)
+                       SimulationAborted, TrueModelNominal, coriolis,
+                       forward_dynamics, inertia, inverse_dynamics, simulate,
+                       total_energy)
 from .gpr import (GpDataset, SeKernelParams, default_init_params, fit,
                   mismatch_target, model_from_params, predict)
 from .trajectory import (ReferenceTrajectory, build_training_set, evaluate,
@@ -30,13 +30,17 @@ from .trajectory import (ReferenceTrajectory, build_training_set, evaluate,
 
 @dataclass
 class RunResult:
-    """One (controller, seed) tracking run with its trace and RMSE."""
+    """One (controller, seed) tracking run with its trace and RMSE.
+
+    `diagnostics` holds the robust run's per-tick arrays (see
+    `control.diagnostic_arrays`); it is None for the other variants.
+    """
 
     controller: str
     seed: int
     trace: RunTrace | None
     reference: ReferenceTrajectory
-    logs: list | None
+    diagnostics: dict | None
     rmse_joints_deg: np.ndarray | None
     rmse_avg_deg: float | None
     status: str
@@ -83,41 +87,27 @@ def train_gp(config: ExperimentConfig, model: ManipulatorModel | None = None,
 def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
                           gains: GainSpec, spec, gp=None,
                           lyapunov: LyapunovDesign | None = None, bounds=None,
-                          epsilon: float = 0.5, logs: list | None = None):
-    """Wrap a control law into the (t, state) -> torque callable simulate expects."""
+                          epsilon: float = 0.5, diagnostics: dict | None = None):
+    """Wrap the control law into the (t, state) -> torque callable simulate expects.
+
+    `true` is the law on the exact model.  With `diagnostics`, tick k also
+    records row k, including the true mismatch at the GP query point.
+    """
+    law = ControllerSpec(variant, gains, lyapunov, epsilon, gp, bounds)
     if variant == "true":
-        def tick(t, state):
-            return control_true(model, gains, state, evaluate(spec, t))
-        return tick
-    if variant == "nominal":
-        def tick(t, state):
-            return control_nominal(nominal, gains, state, evaluate(spec, t))
-        return tick
-    if variant == "gp":
-        def tick(t, state):
-            desired = evaluate(spec, t)
-            q_err = desired[0] - state.q
-            dq_err = desired[1] - state.dq
-            a = gp_query_acceleration(desired[2], q_err, dq_err, gains)
-            return control_gp(nominal, gp, gains, state, desired, a)
-        return tick
-    if variant == "robust_gp":
-        def tick(t, state):
-            desired = evaluate(spec, t)
-            q_err = desired[0] - state.q
-            dq_err = desired[1] - state.dq
-            a = gp_query_acceleration(desired[2], q_err, dq_err, gains)
-            tau, log = control_robust_gp(nominal, gp, gains, lyapunov, bounds,
-                                         epsilon, state, desired, a)
-            log.time = t
-            # true mismatch at the same query point, for bound-validity checks
+        nominal = TrueModelNominal(model)
+    k = 0
+
+    def tick(t, state):
+        nonlocal k
+        tau, a = control(law, nominal, state, evaluate(spec, t), diagnostics, k)
+        if diagnostics is not None:
             tau_needed = inverse_dynamics(model, state.q, state.dq, a)
-            log.e_true = mismatch_target(nominal, state.q, state.dq, a, tau_needed)
-            if logs is not None:
-                logs.append(log)
-            return tau
-        return tick
-    raise ValueError(f"unknown controller variant {variant!r}")
+            diagnostics["etrue"][k] = mismatch_target(nominal, state.q, state.dq,
+                                                      a, tau_needed)
+        k += 1
+        return tau
+    return tick
 
 
 def run_tracking(config: ExperimentConfig, controller: str, seed: int,
@@ -134,21 +124,22 @@ def run_tracking(config: ExperimentConfig, controller: str, seed: int,
     spec = sample_spec(seed, model.n_joints, config.n_sinusoids,
                        config.omega_min, config.omega_max)
     ref = sample_reference(spec, config.duration, config.control_rate)
-    logs: list | None = [] if controller == "robust_gp" else None
+    diagnostics = (diagnostic_arrays(len(ref.times), model.n_joints)
+                   if controller == "robust_gp" else None)
     tick = build_tick_controller(controller, model, nominal, gains, spec,
                                  gp=gp, lyapunov=lyapunov,
                                  bounds=config.make_bounds(),
-                                 epsilon=config.epsilon, logs=logs)
+                                 epsilon=config.epsilon, diagnostics=diagnostics)
     initial = RobotState(ref.q[0] + config.initial_offset_q,
                          ref.dq[0] + config.initial_offset_dq)
     try:
         trace = simulate(model, tick, initial, config.duration,
                          config.control_rate, config.integrator_substeps)
     except SimulationAborted as exc:
-        return RunResult(controller, seed, None, ref, logs, None, None,
+        return RunResult(controller, seed, None, ref, diagnostics, None, None,
                          f"aborted@{exc.tick}: {exc.reason}")
     rmse_joints, rmse_avg = compute_rmse(trace, ref)
-    return RunResult(controller, seed, trace, ref, logs, rmse_joints,
+    return RunResult(controller, seed, trace, ref, diagnostics, rmse_joints,
                      rmse_avg, "ok")
 
 
@@ -217,42 +208,17 @@ def write_trace_csv(path, result: RunResult) -> None:
     """Per-tick trace; GP/robust columns are nan for the other variants."""
     trace, ref = result.trace, result.reference
     n, n_j = trace.q.shape
+    diagnostics = result.diagnostics
+    if diagnostics is None:
+        diagnostics = diagnostic_arrays(n, n_j)
+    series = {"q": trace.q, "dq": trace.dq, "qd": ref.q, "qe": ref.q - trace.q,
+              "dqe": ref.dq - trace.dq, "tau": trace.tau, **diagnostics}
     columns = [("t", trace.times)]
-    for j in range(n_j):
-        columns.append((f"q{j + 1}", trace.q[:, j]))
-    for j in range(n_j):
-        columns.append((f"dq{j + 1}", trace.dq[:, j]))
-    for j in range(n_j):
-        columns.append((f"qd{j + 1}", ref.q[:, j]))
-    for j in range(n_j):
-        columns.append((f"qe{j + 1}", ref.q[:, j] - trace.q[:, j]))
-    for j in range(n_j):
-        columns.append((f"dqe{j + 1}", ref.dq[:, j] - trace.dq[:, j]))
-    for j in range(n_j):
-        columns.append((f"tau{j + 1}", trace.tau[:, j]))
-
-    nan = np.full(n, np.nan)
-    if result.logs:
-        logs = result.logs
-        columns.append(("rho", np.array([lg.rho for lg in logs])))
-        for j in range(n_j):
-            columns.append((f"ehat{j + 1}",
-                            np.array([lg.e_hat_mean[j] for lg in logs])))
-        for j in range(n_j):
-            columns.append((f"evar{j + 1}",
-                            np.array([lg.e_hat_var[j] for lg in logs])))
-        for j in range(n_j):
-            columns.append((f"etrue{j + 1}",
-                            np.array([lg.e_true[j] for lg in logs])))
-        columns.append(("V", np.array([lg.v_lyap for lg in logs])))
-        columns.append(("z_norm", np.array([lg.z_norm for lg in logs])))
-    else:
-        columns.append(("rho", nan))
-        for prefix in ("ehat", "evar", "etrue"):
-            for j in range(n_j):
-                columns.append((f"{prefix}{j + 1}", nan))
-        columns.append(("V", nan))
-        columns.append(("z_norm", nan))
+    for name, arr in series.items():
+        if arr.ndim == 1:
+            columns.append((name, arr))
+        else:
+            columns.extend((f"{name}{j + 1}", arr[:, j]) for j in range(n_j))
 
     with open(path, "w", newline="") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")

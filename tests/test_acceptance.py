@@ -12,7 +12,7 @@ import pytest
 
 from gpfl.cli import main
 from gpfl.config import ExperimentConfig, save_config
-from gpfl.control import control_gp, control_nominal, gp_query_acceleration
+from gpfl.control import ControllerSpec, control, gp_query_acceleration
 from gpfl.dynamics import (RobotState, coriolis, gravity, inertia, simulate,
                            total_energy)
 from gpfl.gpr import (GpDataset, SeKernelParams, load_dataset_csv,
@@ -85,14 +85,12 @@ def test_criterion_4_lyapunov_decrease_on_qualifying_ticks(experiment):
     config, summary, _, _ = experiment
     total = qualified = passed = 0
     for result in _robust_runs(summary):
-        logs = sorted(result.logs, key=lambda lg: lg.time)
-        total += len(logs)
-        for cur, nxt in zip(logs, logs[1:]):
-            residual = np.linalg.norm(cur.e_true - cur.e_hat_mean)
-            if cur.z_norm >= config.epsilon and cur.rho > residual:
-                qualified += 1
-                if nxt.v_lyap < cur.v_lyap:
-                    passed += 1
+        d = result.diagnostics
+        total += len(d["V"])
+        residual = np.linalg.norm(d["etrue"] - d["ehat"], axis=1)
+        qualifies = ((d["z_norm"] >= config.epsilon) & (d["rho"] > residual))[:-1]
+        qualified += int(qualifies.sum())
+        passed += int((d["V"][1:] < d["V"][:-1])[qualifies].sum())
     pass_rate = passed / qualified if qualified else 1.0
     print(f"criterion 4: {qualified}/{total} ticks qualify (||z||>=eps and rho valid); "
           f"dV<0 on {pass_rate:.4f} of qualifying ticks (>=0.99)")
@@ -105,11 +103,11 @@ def test_criterion_5_rho_validity_rate(experiment):
     per_seed = []
     valid = total = 0
     for result in _robust_runs(summary):
-        ok = sum(1 for lg in result.logs
-                 if lg.rho >= np.linalg.norm(lg.e_true - lg.e_hat_mean))
-        per_seed.append(ok / len(result.logs))
+        d = result.diagnostics
+        ok = int((d["rho"] >= np.linalg.norm(d["etrue"] - d["ehat"], axis=1)).sum())
+        per_seed.append(ok / len(d["rho"]))
         valid += ok
-        total += len(result.logs)
+        total += len(d["rho"])
     rate = valid / total
     print(f"criterion 5: rho >= ||e - e_hat|| on {rate:.4f} of {total} ticks "
           f"(>=0.95), per-seed min {min(per_seed):.4f}")
@@ -172,8 +170,9 @@ def test_criterion_7_prior_recovery_far_from_data(experiment):
     desired = (x_far[:2].copy(), x_far[2:4].copy(), x_far[4:6].copy())
     a = gp_query_acceleration(desired[2], np.zeros(2), np.zeros(2), gains)
     np.testing.assert_array_equal(a, x_far[4:6])
-    tau_gap = np.abs(control_gp(nominal, gp, gains, state, desired, a)
-                     - control_nominal(nominal, gains, state, desired)).max()
+    tau_gp, _ = control(ControllerSpec("gp", gains, gp=gp), nominal, state, desired)
+    tau_nominal, _ = control(ControllerSpec("nominal", gains), nominal, state, desired)
+    tau_gap = np.abs(tau_gp - tau_nominal).max()
     print(f"criterion 7: at {scaled_gap:.1f} lengthscales out, ||mean||={mean_norm:.2e} "
           f"(<1e-6*sqrt(lam)), |var-lam|max={var_gap:.2e} (<1e-6), "
           f"|tau_gp-tau_nominal|={tau_gap:.2e} (<1e-9)")

@@ -1,18 +1,39 @@
 import numpy as np
 import pytest
 
-from gpfl.control import (ControllerSpec, ControlTickLog, GainSpec,
-                          LyapunovDesign, control_gp, control_nominal,
-                          control_robust_gp, control_true, design_lyapunov,
-                          error_matrix, gp_query_acceleration)
+from gpfl.control import (ControllerSpec, GainSpec, LyapunovDesign, control,
+                          design_lyapunov, diagnostic_arrays, error_matrix,
+                          gp_query_acceleration)
 from gpfl.dynamics import (ManipulatorModel, RobotState, ScaledIdentityNominal,
-                           TrueModelNominal, forward_dynamics, gravity, simulate)
+                           TrueModelNominal, forward_dynamics, gravity,
+                           inverse_dynamics, simulate)
 from gpfl.gpr import (BoundParams, GpDataset, SeKernelParams, model_from_params,
                       predict)
 
 MODEL = ManipulatorModel()
 GAINS = GainSpec()
 NOMINAL = ScaledIdentityNominal()
+EXACT = TrueModelNominal(MODEL)
+LYAPUNOV = design_lyapunov(GAINS, n_joints=2)
+BOUNDS = BoundParams(beta=3.0, delta=0.1, scaling="sigma")
+
+
+def _law(variant, gp=None, epsilon=0.5):
+    return ControllerSpec(variant, GAINS, lyapunov=LYAPUNOV, epsilon=epsilon,
+                          gp=gp, bounds=BOUNDS)
+
+
+def _tau(variant, state, desired, gp=None, nominal=NOMINAL):
+    tau, _ = control(_law(variant, gp), nominal, state, desired)
+    return tau
+
+
+def _fit_gp_on_noise():
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1.0, 1.0, size=(15, 6))
+    ds = GpDataset(inputs=X, targets=rng.normal(size=(15, 2)), noise_std=0.2)
+    params = SeKernelParams(lam=1.5, lengthscales=np.full(6, 1.2))
+    return model_from_params(ds, [params, params])
 
 
 def _zero_target_gp(lam=2.0, noise_std=0.1):
@@ -96,7 +117,7 @@ class TestControlTrue:
     def test_static_zero_error_is_gravity_compensation(self):
         q = np.array([0.4, -0.9])
         state = RobotState(q=q.copy(), dq=np.zeros(2))
-        tau = control_true(MODEL, GAINS, state, (q, np.zeros(2), np.zeros(2)))
+        tau = _tau("true", state, (q, np.zeros(2), np.zeros(2)), nominal=EXACT)
         np.testing.assert_allclose(tau, gravity(MODEL, q), atol=1e-12)
 
     def test_achieves_commanded_acceleration(self):
@@ -107,7 +128,7 @@ class TestControlTrue:
             dqd = rng.uniform(-1, 1, 2)
             ddqd = rng.uniform(-3, 3, 2)
             aux = (ddqd + GAINS.kp * (qd - state.q) + GAINS.kd * (dqd - state.dq))
-            tau = control_true(MODEL, GAINS, state, (qd, dqd, ddqd))
+            tau = _tau("true", state, (qd, dqd, ddqd), nominal=EXACT)
             ddq = forward_dynamics(MODEL, state, tau)
             np.testing.assert_allclose(ddq, aux, atol=1e-9)
 
@@ -116,7 +137,7 @@ class TestControlTrue:
         desired = (qd, np.zeros(2), np.zeros(2))
 
         def controller(t, state):
-            return control_true(MODEL, GAINS, state, desired)
+            return _tau("true", state, desired, nominal=EXACT)
 
         initial = RobotState(q=qd + np.array([0.3, -0.2]), dq=np.zeros(2))
         trace = simulate(MODEL, controller, initial, duration=2.0,
@@ -133,26 +154,37 @@ class TestControlTrue:
 class TestControlNominal:
     def test_true_nominal_matches_control_true(self):
         rng = np.random.default_rng(5)
-        nominal = TrueModelNominal(MODEL)
         for _ in range(5):
             state = RobotState(q=rng.uniform(-2, 2, 2), dq=rng.uniform(-1, 1, 2))
             desired = (rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                        rng.uniform(-3, 3, 2))
+            tau, a = control(_law("nominal"), EXACT, state, desired)
+            np.testing.assert_array_equal(
+                a, gp_query_acceleration(desired[2], desired[0] - state.q,
+                                         desired[1] - state.dq, GAINS))
             np.testing.assert_allclose(
-                control_nominal(nominal, GAINS, state, desired),
-                control_true(MODEL, GAINS, state, desired), atol=1e-12)
+                tau, inverse_dynamics(MODEL, state.q, state.dq, a), atol=1e-12)
+
+    def test_variant_does_not_switch_on_gp(self):
+        # every run is handed the trained GP; only the variant turns terms on
+        gp = _fit_gp_on_noise()
+        state = RobotState(q=np.array([0.2, -0.1]), dq=np.array([0.3, 0.1]))
+        desired = (np.array([0.25, 0.0]), np.zeros(2), np.array([0.5, -0.5]))
+        for variant in ("true", "nominal"):
+            with_gp, _ = control(_law(variant, gp), NOMINAL, state, desired)
+            np.testing.assert_array_equal(with_gp, _tau(variant, state, desired))
 
     def test_scaled_identity_zero_error_gives_zero_torque(self):
         q = np.array([1.0, -1.0])
         state = RobotState(q=q.copy(), dq=np.zeros(2))
-        tau = control_nominal(NOMINAL, GAINS, state, (q, np.zeros(2), np.zeros(2)))
+        tau = _tau("nominal", state, (q, np.zeros(2), np.zeros(2)))
         np.testing.assert_array_equal(tau, np.zeros(2))
 
     def test_scaled_identity_formula(self):
         state = RobotState(q=np.array([0.2, 0.1]), dq=np.array([-0.3, 0.4]))
         qd, dqd, ddqd = np.array([0.5, 0.0]), np.array([0.1, 0.2]), np.array([1.0, -1.0])
         aux = ddqd + GAINS.kp * (qd - state.q) + GAINS.kd * (dqd - state.dq)
-        tau = control_nominal(NOMINAL, GAINS, state, (qd, dqd, ddqd))
+        tau = _tau("nominal", state, (qd, dqd, ddqd))
         np.testing.assert_allclose(tau, 0.5 * aux, atol=1e-12)
 
 
@@ -161,9 +193,8 @@ class TestControlGp:
         gp = _zero_target_gp()
         state = RobotState(q=np.array([0.3, -0.2]), dq=np.array([0.1, 0.0]))
         desired = (np.zeros(2), np.zeros(2), np.zeros(2))
-        a = gp_query_acceleration(desired[2], -state.q, -state.dq, GAINS)
-        tau_gp = control_gp(NOMINAL, gp, GAINS, state, desired, a)
-        tau_nom = control_nominal(NOMINAL, GAINS, state, desired)
+        tau_gp = _tau("gp", state, desired, gp)
+        tau_nom = _tau("nominal", state, desired)
         np.testing.assert_allclose(tau_gp, tau_nom, atol=1e-14)
 
     def test_far_query_falls_back_to_nominal(self):
@@ -173,50 +204,44 @@ class TestControlGp:
         params = SeKernelParams(lam=1.0, lengthscales=np.ones(6))
         gp = model_from_params(ds, [params, params])
         state = RobotState(q=np.array([40.0, 40.0]), dq=np.array([40.0, 40.0]))
-        desired = (state.q.copy(), state.dq.copy(), np.zeros(2))
-        tau_gp = control_gp(NOMINAL, gp, GAINS, state, desired, np.full(2, 40.0))
-        tau_nom = control_nominal(NOMINAL, GAINS, state, desired)
+        desired = (state.q.copy(), state.dq.copy(), np.full(2, 40.0))
+        tau_gp = _tau("gp", state, desired, gp)
+        tau_nom = _tau("nominal", state, desired)
         np.testing.assert_allclose(tau_gp, tau_nom, atol=1e-10)
 
     def test_decomposes_as_nominal_plus_mean(self):
-        rng = np.random.default_rng(9)
-        X = rng.uniform(-1.0, 1.0, size=(15, 6))
-        ds = GpDataset(inputs=X, targets=rng.normal(size=(15, 2)), noise_std=0.2)
-        params = SeKernelParams(lam=1.5, lengthscales=np.full(6, 1.2))
-        gp = model_from_params(ds, [params, params])
+        gp = _fit_gp_on_noise()
         state = RobotState(q=np.array([0.2, -0.1]), dq=np.array([0.3, 0.1]))
         desired = (np.array([0.25, 0.0]), np.zeros(2), np.array([0.5, -0.5]))
         a = gp_query_acceleration(desired[2], desired[0] - state.q,
                                   desired[1] - state.dq, GAINS)
         mean, _ = predict(gp, np.concatenate([state.q, state.dq, a]))
-        tau_gp = control_gp(NOMINAL, gp, GAINS, state, desired, a)
-        tau_nom = control_nominal(NOMINAL, GAINS, state, desired)
-        np.testing.assert_allclose(tau_gp, tau_nom + mean, atol=1e-12)
+        tau_gp = _tau("gp", state, desired, gp)
+        tau_nom = _tau("nominal", state, desired)
+        np.testing.assert_array_equal(tau_gp, tau_nom + mean)
 
 
 class TestControlRobustGp:
-    lyapunov = design_lyapunov(GAINS, n_joints=2)
-    bounds = BoundParams(beta=3.0, delta=0.1, scaling="sigma")
+    lyapunov = LYAPUNOV
 
     def _call(self, gp, state, desired, epsilon=0.5):
-        q_err = np.asarray(desired[0]) - state.q
-        dq_err = np.asarray(desired[1]) - state.dq
-        a = gp_query_acceleration(desired[2], q_err, dq_err, GAINS)
-        return control_robust_gp(NOMINAL, gp, GAINS, self.lyapunov, self.bounds,
-                                 epsilon, state, desired, a)
+        """Torque, the robust term w alone, and the tick's diagnostics row."""
+        diagnostics = diagnostic_arrays(1, 2)
+        tau, _ = control(_law("robust_gp", gp, epsilon), NOMINAL, state, desired,
+                         diagnostics)
+        w = tau - _tau("gp", state, desired, gp)
+        return tau, w, {key: arr[0] for key, arr in diagnostics.items()}
 
     def test_zero_error_adds_nothing(self):
         gp = _zero_target_gp()
         q = np.array([0.3, 0.3])
         state = RobotState(q=q.copy(), dq=np.zeros(2))
         desired = (q.copy(), np.zeros(2), np.array([1.0, -2.0]))
-        tau, log = self._call(gp, state, desired)
-        a = gp_query_acceleration(desired[2], np.zeros(2), np.zeros(2), GAINS)
-        tau_gp = control_gp(NOMINAL, gp, GAINS, state, desired, a)
-        np.testing.assert_allclose(tau, tau_gp, atol=1e-14)
-        assert log.z_norm == 0.0
-        assert log.v_lyap == 0.0
-        assert log.rho > 0.0
+        tau, _, row = self._call(gp, state, desired)
+        np.testing.assert_allclose(tau, _tau("gp", state, desired, gp), atol=1e-14)
+        assert row["z_norm"] == 0.0
+        assert row["V"] == 0.0
+        assert row["rho"] > 0.0
 
     def test_continuous_across_boundary_layer(self):
         gp = _zero_target_gp()
@@ -229,10 +254,8 @@ class TestControlRobustGp:
             offset = c_star * scale * direction
             state = RobotState(q=np.zeros(2), dq=np.zeros(2))
             desired = (offset[:2], offset[2:], np.zeros(2))
-            tau, log = self._call(gp, state, desired, epsilon=epsilon)
-            a = gp_query_acceleration(np.zeros(2), offset[:2], offset[2:], GAINS)
-            w = tau - control_gp(NOMINAL, gp, GAINS, state, desired, a)
-            assert (log.z_norm < epsilon) == (scale < 1.0)
+            _, w, row = self._call(gp, state, desired, epsilon=epsilon)
+            assert (row["z_norm"] < epsilon) == (scale < 1.0)
             ws.append(w)
         assert np.abs(ws[0] - ws[1]).max() < 1e-4
 
@@ -242,19 +265,19 @@ class TestControlRobustGp:
         qd = state.q + np.array([8.0, -4.0])
         dqd = np.array([6.0, 2.0])
         desired = (qd, dqd, np.zeros(2))
-        tau, log = self._call(gp, state, desired)
+        tau, _, row = self._call(gp, state, desired)
 
         xi = np.concatenate([qd - state.q, dqd - state.dq])
         z = 2.0 * (self.lyapunov.Q[2:, :] @ xi)
         z_norm = np.linalg.norm(z)
         assert z_norm >= 0.5
         rho = 3.0 * np.sqrt(2.0) * np.sqrt(2.0)
-        assert log.rho == pytest.approx(rho, abs=1e-9)
+        assert row["rho"] == pytest.approx(rho, abs=1e-9)
         a = gp_query_acceleration(np.zeros(2), xi[:2], xi[2:], GAINS)
         expected = 0.5 * a + rho * z / z_norm
         np.testing.assert_allclose(tau, expected, atol=1e-8)
-        assert log.z_norm == pytest.approx(z_norm, rel=1e-12)
-        assert log.v_lyap == pytest.approx(xi @ self.lyapunov.Q @ xi, rel=1e-12)
+        assert row["z_norm"] == pytest.approx(z_norm, rel=1e-12)
+        assert row["V"] == pytest.approx(xi @ self.lyapunov.Q @ xi, rel=1e-12)
 
     def test_inside_layer_scales_linearly(self):
         gp = _zero_target_gp()
@@ -266,10 +289,8 @@ class TestControlRobustGp:
             offset = frac * epsilon / z_gain * direction
             state = RobotState(q=np.zeros(2), dq=np.zeros(2))
             desired = (offset[:2], offset[2:], np.zeros(2))
-            tau, log = self._call(gp, state, desired, epsilon=epsilon)
-            a = gp_query_acceleration(np.zeros(2), offset[:2], offset[2:], GAINS)
-            w = tau - control_gp(NOMINAL, gp, GAINS, state, desired, a)
-            assert log.z_norm == pytest.approx(frac * epsilon, rel=1e-9)
+            _, w, row = self._call(gp, state, desired, epsilon=epsilon)
+            assert row["z_norm"] == pytest.approx(frac * epsilon, rel=1e-9)
             ws.append(w)
         np.testing.assert_allclose(ws[1], 2.0 * ws[0], atol=1e-9)
 
@@ -279,12 +300,9 @@ class TestControlRobustGp:
                             lambda mean, var, bounds: (0.0, np.zeros(len(mean))))
         state = RobotState(q=np.array([0.1, -0.4]), dq=np.array([0.2, 0.0]))
         desired = (np.array([0.6, 0.1]), np.array([0.0, 0.3]), np.array([1.0, 1.0]))
-        tau, log = self._call(gp, state, desired)
-        a = gp_query_acceleration(desired[2], desired[0] - state.q,
-                                  desired[1] - state.dq, GAINS)
-        tau_gp = control_gp(NOMINAL, gp, GAINS, state, desired, a)
-        np.testing.assert_array_equal(tau, tau_gp)
-        assert log.rho == 0.0
+        tau, _, row = self._call(gp, state, desired)
+        np.testing.assert_array_equal(tau, _tau("gp", state, desired, gp))
+        assert row["rho"] == 0.0
 
     def test_w_norm_bounded_by_rho(self):
         gp = _zero_target_gp(lam=2.0)
@@ -294,12 +312,9 @@ class TestControlRobustGp:
             state = RobotState(q=rng.uniform(-2, 2, 2), dq=rng.uniform(-1, 1, 2))
             desired = (rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                        rng.uniform(-2, 2, 2))
-            tau, log = self._call(gp, state, desired)
-            a = gp_query_acceleration(desired[2], desired[0] - state.q,
-                                      desired[1] - state.dq, GAINS)
-            w = tau - control_gp(NOMINAL, gp, GAINS, state, desired, a)
-            assert np.linalg.norm(w) <= log.rho + 1e-9
-            assert log.rho <= cap + 1e-9
+            _, w, row = self._call(gp, state, desired)
+            assert np.linalg.norm(w) <= row["rho"] + 1e-9
+            assert row["rho"] <= cap + 1e-9
 
     def test_non_finite_rho_raises(self, monkeypatch):
         gp = _zero_target_gp()
@@ -314,50 +329,40 @@ class TestControlRobustGp:
         gp = _zero_target_gp(lam=2.0)
         state = RobotState(q=np.zeros(2), dq=np.zeros(2))
         desired = (np.array([0.01, 0.0]), np.zeros(2), np.zeros(2))
-        tau, log = self._call(gp, state, desired, epsilon=0.0)
-        a = gp_query_acceleration(np.zeros(2), desired[0], np.zeros(2), GAINS)
-        w = tau - control_gp(NOMINAL, gp, GAINS, state, desired, a)
-        assert np.linalg.norm(w) == pytest.approx(log.rho, rel=1e-12)
+        _, w, row = self._call(gp, state, desired, epsilon=0.0)
+        assert np.linalg.norm(w) == pytest.approx(row["rho"], rel=1e-12)
 
     def test_epsilon_zero_at_origin_gives_zero_w(self):
         gp = _zero_target_gp()
         q = np.array([0.2, -0.2])
         state = RobotState(q=q.copy(), dq=np.zeros(2))
         desired = (q.copy(), np.zeros(2), np.zeros(2))
-        tau, _ = self._call(gp, state, desired, epsilon=0.0)
-        a = gp_query_acceleration(np.zeros(2), np.zeros(2), np.zeros(2), GAINS)
-        tau_gp = control_gp(NOMINAL, gp, GAINS, state, desired, a)
-        np.testing.assert_array_equal(tau, tau_gp)
+        tau, _, _ = self._call(gp, state, desired, epsilon=0.0)
+        np.testing.assert_array_equal(tau, _tau("gp", state, desired, gp))
 
     def test_negative_epsilon_rejected(self):
-        gp = _zero_target_gp()
-        state = RobotState(q=np.zeros(2), dq=np.zeros(2))
         with pytest.raises(ValueError):
-            control_robust_gp(NOMINAL, gp, GAINS, self.lyapunov, self.bounds,
-                              -0.1, state, (np.zeros(2), np.zeros(2), np.zeros(2)),
-                              np.zeros(2))
+            _law("robust_gp", _zero_target_gp(), epsilon=-0.1)
 
     def test_pure_function(self):
         gp = _zero_target_gp()
         state = RobotState(q=np.array([0.4, -0.1]), dq=np.array([0.0, 0.2]))
         desired = (np.array([0.5, 0.0]), np.zeros(2), np.array([0.3, 0.3]))
-        a = gp_query_acceleration(desired[2], desired[0] - state.q,
-                                  desired[1] - state.dq, GAINS)
-        tau1, log1 = control_robust_gp(NOMINAL, gp, GAINS, self.lyapunov,
-                                       self.bounds, 0.5, state, desired, a)
-        tau2, log2 = control_robust_gp(NOMINAL, gp, GAINS, self.lyapunov,
-                                       self.bounds, 0.5, state, desired, a)
+        tau1, _, row1 = self._call(gp, state, desired)
+        tau2, _, row2 = self._call(gp, state, desired)
         np.testing.assert_array_equal(tau1, tau2)
-        assert log1.rho == log2.rho
-        assert log1.v_lyap == log2.v_lyap
+        assert row1["rho"] == row2["rho"]
+        assert row1["V"] == row2["V"]
 
-    def test_log_snapshots_state(self):
+    def test_fills_only_its_row(self):
         gp = _zero_target_gp()
         state = RobotState(q=np.array([0.1, 0.2]), dq=np.array([0.3, 0.4]))
-        desired = (np.zeros(2), np.zeros(2), np.zeros(2))
-        _, log = self._call(gp, state, desired)
-        log.q[0] = 99.0
-        assert state.q[0] == 0.1
+        diagnostics = diagnostic_arrays(3, 2)
+        control(_law("robust_gp", gp), NOMINAL, state,
+                (np.zeros(2), np.zeros(2), np.zeros(2)), diagnostics, k=1)
+        for key, arr in diagnostics.items():
+            assert np.isnan(arr[0]).all() and np.isnan(arr[2]).all()
+            assert np.isfinite(arr[1]).all() == (key != "etrue")
 
 
 class TestControllerSpec:

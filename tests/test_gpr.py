@@ -487,6 +487,31 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dataset_csv(path)
 
+    def test_load_rejects_unknown_column(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("q1,extra,e1\n0.1,0.2,0.3\n")
+        with pytest.raises(ValueError, match="extra"):
+            load_dataset_csv(path)
+
+    def test_load_targets_are_e_digits_only(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("q1,dq1,ddq1,e1,e2\n0.1,0.2,0.3,0.4,0.5\n")
+        loaded = load_dataset_csv(path)
+        np.testing.assert_array_equal(loaded.inputs, [[0.1, 0.2, 0.3]])
+        np.testing.assert_array_equal(loaded.targets, [[0.4, 0.5]])
+
+    @pytest.mark.parametrize("key", ["n_outputs", "input_dim", "output2.lambda",
+                                     "output1.lengthscale3"])
+    def test_model_txt_missing_key_names_it(self, tmp_path, key):
+        ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)
+        params = SeKernelParams(lam=1.0, lengthscales=[0.5, 1.0, 2.0])
+        path = tmp_path / "gp_model.txt"
+        save_model_txt(model_from_params(ds, [params, params]), path)
+        path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                if not line.startswith(f"{key}=")))
+        with pytest.raises(ValueError, match=key):
+            load_model_txt(path)
+
     def test_model_txt_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)
         ds = _random_dataset(rng, n=10, dim=3, noise_std=0.2)
