@@ -7,16 +7,14 @@ from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RobotState,
                        RunTrace, ScaledIdentityNominal, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, gravity,
                        inertia, inverse_dynamics, simulate, total_energy)
-from .gpr import (BoundParams, GpDataset, GpInput, GpModel,
-                  IllConditionedDatasetError, SeKernelParams, beta_from_lemma,
-                  compute_mismatch_target, fit, load_dataset_csv,
+from .gpr import (BoundParams, GpDataset, GpModel, IllConditionedDatasetError,
+                  SeKernelParams, beta_from_lemma, fit, load_dataset_csv,
                   load_model_txt, max_information_gain, mismatch_target,
-                  model_from_params, predict, rho_bound, save_dataset_csv,
-                  save_model_txt, se_kernel)
+                  model_from_params, predict, save_dataset_csv, save_model_txt,
+                  se_kernel)
 from .harness import (RunResult, RunSummary, compute_rmse, run_experiment,
                       run_tracking, train_gp, validate)
 from .trajectory import (ReferenceTrajectory, SinusoidSpec, build_training_set,
-                         evaluate, sample_reference, sample_spec,
-                         save_reference_csv)
+                         evaluate, sample_reference, sample_spec)
 
 __version__ = "0.1.0"

@@ -113,15 +113,10 @@ def _cmd_run(config: ExperimentConfig, seed: int, controller: str) -> int:
 def _cmd_experiment(config: ExperimentConfig) -> int:
     summary = run_experiment(config)
     out = Path(config.out_dir)
-    print(f"{'controller':<12}{'mean_rmse_deg':>16}{'std':>10}{'runs':>8}")
-    for name, st in summary.stats.items():
-        print(f"{name:<12}{st.mean_rmse_deg:>16.3f}{st.std_rmse_deg:>10.3f}"
-              f"{st.n_ok:>5}/{st.n_ok + st.n_failed}")
-    failed = [r for r in summary.results if r.status != "ok"]
-    for r in failed:
-        print(f"FAILED {r.controller} seed {r.seed}: {r.status}")
+    # summary.txt holds the table and a FAILED line per aborted run
+    print((out / "summary.txt").read_text(), end="")
     print(f"wrote {out / 'summary.csv'} and traces under {out}/")
-    return 1 if failed else 0
+    return 1 if any(r.status != "ok" for r in summary.results) else 0
 
 
 def _cmd_validate(config: ExperimentConfig, seed: int) -> int:

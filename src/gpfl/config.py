@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import VARIANTS, GainSpec
-from .dynamics import ManipulatorModel, ScaledIdentityNominal, TrueModelNominal
+from .dynamics import ManipulatorModel, ScaledIdentityNominal
 from .gpr import RHO_SCALINGS, BoundParams
-
-NOMINAL_KINDS = ("scaled_identity", "true_model")
 
 
 @dataclass(frozen=True)
@@ -35,19 +33,15 @@ class ExperimentConfig:
     i2: float = 0.25
     gravity: float = 9.81
     # nominal model
-    nominal_kind: str = "scaled_identity"
     nominal_scale: float = 0.5
     # gains and robust term
     kp: float = 50.0
     kd: float = 2.0 * np.sqrt(50.0)
     epsilon: float = 0.5
     beta: float = 3.0
-    delta: float = 0.1
     rho_scaling: str = "sigma"
     # GP training
     noise_std: float = 0.0
-    gp_init_lam: float = 0.0          # 0 = data-scaled default
-    gp_init_lengthscale: float = 0.0  # 0 = data-scaled default
     gp_n_starts: int = 4
     gp_max_iter: int = 60
     gp_fit_seed: int = 0
@@ -76,8 +70,6 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
         object.__setattr__(self, "controllers", tuple(str(c) for c in self.controllers))
-        if self.nominal_kind not in NOMINAL_KINDS:
-            raise ValueError(f"nominal_kind must be one of {NOMINAL_KINDS}")
         if self.rho_scaling not in RHO_SCALINGS:
             raise ValueError(f"rho_scaling must be one of {RHO_SCALINGS}")
         unknown = [c for c in self.controllers if c not in VARIANTS]
@@ -112,15 +104,13 @@ class ExperimentConfig:
                                 gravity=self.gravity)
 
     def make_nominal(self, model: ManipulatorModel):
-        if self.nominal_kind == "true_model":
-            return TrueModelNominal(model)
         return ScaledIdentityNominal(n_joints=model.n_joints, scale=self.nominal_scale)
 
     def make_gains(self) -> GainSpec:
         return GainSpec(kp=self.kp, kd=self.kd)
 
     def make_bounds(self) -> BoundParams:
-        return BoundParams(beta=self.beta, delta=self.delta, scaling=self.rho_scaling)
+        return BoundParams(beta=self.beta, scaling=self.rho_scaling)
 
 
 def _format_value(value) -> str:
@@ -173,7 +163,11 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-            values[key] = _parse_value(key, type_map[key], raw)
+            try:
+                values[key] = _parse_value(key, type_map[key], raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
+                                 f"{raw.strip()!r}") from None
     return ExperimentConfig(**values)
 
 

@@ -103,9 +103,6 @@ class RobotState:
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.dq))):
             raise ValueError("state entries must be finite")
 
-    def copy(self) -> "RobotState":
-        return RobotState(self.q.copy(), self.dq.copy())
-
 
 @dataclass(frozen=True)
 class ScaledIdentityNominal:

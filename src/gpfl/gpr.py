@@ -31,41 +31,6 @@ class IllConditionedDatasetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GpInput:
-    """One regression input: joint position, velocity and acceleration."""
-
-    q: np.ndarray
-    dq: np.ndarray
-    ddq: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        dq = np.asarray(self.dq, dtype=float)
-        ddq = np.asarray(self.ddq, dtype=float)
-        if not (q.ndim == 1 and q.shape == dq.shape == ddq.shape):
-            raise ValueError("q, dq, ddq must be 1-D vectors of equal length")
-        if not np.isfinite(np.concatenate([q, dq, ddq])).all():
-            raise ValueError("GP input must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "ddq", ddq)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.q, self.dq, self.ddq])
-
-
-def as_vector(x) -> np.ndarray:
-    """Accept a GpInput or a raw 1-D array as a query location."""
-    if isinstance(x, GpInput):
-        return x.vector
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("GP query must be a single 1-D location")
-    return v
-
-
-@dataclass(frozen=True)
 class SeKernelParams:
     """Signal variance lam and per-dimension ARD lengthscales."""
 
@@ -85,22 +50,19 @@ class SeKernelParams:
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Confidence multiplier beta, failure probability delta, scaling rule.
+    """Confidence multiplier beta and scaling rule.
 
     scaling selects the half-width: "sigma" uses beta*sqrt(variance),
     "variance" uses beta*variance.
     """
 
     beta: float | np.ndarray = 3.0
-    delta: float = 0.1
     scaling: str = "sigma"
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
         if not (np.isfinite(beta).all() and (beta > 0).all()):
             raise ValueError("beta must be positive and finite")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.scaling not in RHO_SCALINGS:
             raise ValueError(f"scaling must be one of {RHO_SCALINGS}")
         object.__setattr__(self, "beta", beta)
@@ -131,8 +93,8 @@ class GpDataset:
         if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
             raise ValueError("dataset must be finite")
         self.noise_std = float(self.noise_std)
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
 
     @property
     def n_samples(self) -> int:
@@ -151,7 +113,7 @@ class GpDataset:
 class GpModel:
     """Per-output kernel params with cached Cholesky factors and weights.
 
-    Immutable after fit; predict and rho_bound only read from it.
+    Immutable after fit; predict only reads from it.
     """
 
     dataset: GpDataset
@@ -177,8 +139,8 @@ class GpModel:
 
 def se_kernel(x, y, params: SeKernelParams) -> float:
     """k(x, y) = lam * exp(-sum_d (x_d - y_d)^2 / l_d^2)."""
-    xv = as_vector(x)
-    yv = as_vector(y)
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.shape != params.lengthscales.shape:
         raise ValueError("kernel arguments must match the lengthscale dimension")
     d = (xv - yv) / params.lengthscales
@@ -198,10 +160,6 @@ def mismatch_target(nominal, q, dq, ddq, tau) -> np.ndarray:
     ddq = np.asarray(ddq, dtype=float)
     tau = np.asarray(tau, dtype=float)
     return tau - nominal.inertia(q) @ ddq - nominal.bias(q, dq)
-
-
-def compute_mismatch_target(nominal, x: GpInput, tau) -> np.ndarray:
-    return mismatch_target(nominal, x.q, x.dq, x.ddq, tau)
 
 
 def stable_cholesky(K: np.ndarray, lam: float, noise_var: float):
@@ -346,7 +304,7 @@ def model_from_params(dataset: GpDataset, params_per_output) -> GpModel:
 
 def predict(model: GpModel, x):
     """Posterior mean and variance per output at a single query location."""
-    v = as_vector(x)
+    v = np.asarray(x, dtype=float)
     if v.shape != (model.input_dim,):
         raise ValueError("query dimension does not match the training inputs")
     means = np.empty(model.n_outputs)
@@ -379,25 +337,6 @@ def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray,
     return float(np.sqrt(np.sum(components ** 2))), components
 
 
-def rho_bound(model: GpModel, x, bounds: BoundParams):
-    """Residual-mismatch bound at x from the posterior confidence interval."""
-    mean, variance = predict(model, x)
-    return rho_from_mean_var(mean, variance, bounds)
-
-
-def _candidate_matrix(candidates) -> np.ndarray:
-    if isinstance(candidates, np.ndarray):
-        X = np.atleast_2d(np.asarray(candidates, dtype=float))
-    else:
-        rows = [as_vector(c) for c in candidates]
-        if not rows:
-            raise ValueError("candidate pool must be non-empty")
-        X = np.vstack(rows)
-    if X.shape[0] == 0:
-        raise ValueError("candidate pool must be non-empty")
-    return X
-
-
 def max_information_gain(candidates, params: SeKernelParams,
                          noise_bound: float, budget: int) -> float:
     """Greedy lower bound on max_S 0.5 log det(I + K_S / noise_bound^2).
@@ -410,7 +349,9 @@ def max_information_gain(candidates, params: SeKernelParams,
         raise ValueError("budget must be >= 1")
     if noise_bound <= 0:
         raise ValueError("noise_bound must be positive")
-    X = _candidate_matrix(candidates)
+    X = np.atleast_2d(np.asarray(candidates, dtype=float))
+    if X.size == 0:
+        raise ValueError("candidate pool must be non-empty")
     K = kernel_matrix(X, params)
     s2 = noise_bound ** 2
     selected: list[int] = []
@@ -460,31 +401,42 @@ def save_dataset_csv(dataset: GpDataset, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _number(path, lineno: int, name: str, raw: str, kind=float):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {name} is not a number: {raw.strip()!r}") from None
+
+
 def load_dataset_csv(path) -> GpDataset:
     """Inverse of save_dataset_csv: q/dq/ddq<j> inputs, e<i> targets, nothing else."""
     noise_std = 0.0
     header = None
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
                 if key.strip() == "noise_std":
-                    noise_std = float(value)
+                    noise_std = _number(path, lineno, "noise_std", value)
                 continue
             if header is None:
                 header = [name.strip() for name in line.split(",")]
+                for name in header:
+                    if not re.fullmatch(r"(q|dq|ddq|e)\d+", name):
+                        raise ValueError(f"{path}:{lineno}: unknown column {name!r}")
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            values = line.split(",")
+            if len(values) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(values)} values "
+                                 f"for {len(header)} columns")
+            rows.append([_number(path, lineno, name, v) for name, v in zip(header, values)])
     if header is None or not rows:
         raise ValueError(f"no data rows in {path}")
     data = np.array(rows)
-    for name in header:
-        if not re.fullmatch(r"(q|dq|ddq|e)\d+", name):
-            raise ValueError(f"{path}: unknown column {name!r}")
     target_cols = [i for i, name in enumerate(header) if name[0] == "e"]
     input_cols = [i for i in range(len(header)) if i not in target_cols]
     if not target_cols:
@@ -513,26 +465,32 @@ def save_model_txt(model: GpModel, path, dataset_ref: str = "") -> None:
 
 def load_model_txt(path):
     """Parse a key-value export; returns (params_per_output, metadata dict)."""
-    meta = {}
+    meta, line_of = {}, {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or "=" not in line:
+            if not line:
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key in meta:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            meta[key] = value.strip()
+            line_of[key] = lineno
 
-    def need(key):
+    def need(key, kind=float):
         if key not in meta:
             raise ValueError(f"{path}: missing key {key!r}")
-        return meta[key]
+        return _number(path, line_of[key], key, meta[key], kind)
 
-    n_outputs = int(need("n_outputs"))
-    input_dim = int(need("input_dim"))
+    n_outputs = need("n_outputs", int)
+    input_dim = need("input_dim", int)
     params = []
     for i in range(1, n_outputs + 1):
-        lam = float(need(f"output{i}.lambda"))
-        ls = np.array([float(need(f"output{i}.lengthscale{d}"))
+        lam = need(f"output{i}.lambda")
+        ls = np.array([need(f"output{i}.lengthscale{d}")
                        for d in range(1, input_dim + 1)])
         params.append(SeKernelParams(lam=lam, lengthscales=ls))
     return params, meta

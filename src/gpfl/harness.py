@@ -16,8 +16,8 @@ import numpy as np
 
 from . import gpr
 from .config import ExperimentConfig
-from .control import (ControllerSpec, GainSpec, LyapunovDesign, control,
-                      design_lyapunov, diagnostic_arrays, error_matrix)
+from .control import (TERMS, ControllerSpec, GainSpec, LyapunovDesign,
+                      control, design_lyapunov, diagnostic_arrays, error_matrix)
 from .dynamics import (ManipulatorModel, RobotState, RunTrace,
                        SimulationAborted, TrueModelNominal, coriolis,
                        forward_dynamics, inertia, inverse_dynamics, simulate,
@@ -72,14 +72,7 @@ def train_gp(config: ExperimentConfig, model: ManipulatorModel | None = None,
     dataset = build_training_set(model, nominal, spec, config.duration,
                                  config.control_rate, config.downsample,
                                  config.noise_std)
-    init = default_init_params(dataset)
-    lam = config.gp_init_lam if config.gp_init_lam > 0 else init.lam
-    if config.gp_init_lengthscale > 0:
-        lengthscales = np.full(dataset.input_dim, config.gp_init_lengthscale)
-    else:
-        lengthscales = init.lengthscales
-    init = SeKernelParams(lam=lam, lengthscales=lengthscales)
-    gp = fit(dataset, init, n_starts=config.gp_n_starts,
+    gp = fit(dataset, default_init_params(dataset), n_starts=config.gp_n_starts,
              max_iter=config.gp_max_iter, seed=config.gp_fit_seed)
     return gp, dataset, spec
 
@@ -117,15 +110,15 @@ def run_tracking(config: ExperimentConfig, controller: str, seed: int,
     model = config.make_model() if model is None else model
     nominal = config.make_nominal(model) if nominal is None else nominal
     gains = config.make_gains()
-    if controller in ("gp", "robust_gp") and gp is None:
+    add_mean, add_w = TERMS[controller]
+    if add_mean and gp is None:
         gp, _, _ = train_gp(config, model, nominal)
-    if controller == "robust_gp" and lyapunov is None:
+    if add_w and lyapunov is None:
         lyapunov = design_lyapunov(gains, model.n_joints)
     spec = sample_spec(seed, model.n_joints, config.n_sinusoids,
                        config.omega_min, config.omega_max)
     ref = sample_reference(spec, config.duration, config.control_rate)
-    diagnostics = (diagnostic_arrays(len(ref.times), model.n_joints)
-                   if controller == "robust_gp" else None)
+    diagnostics = diagnostic_arrays(len(ref.times), model.n_joints) if add_w else None
     tick = build_tick_controller(controller, model, nominal, gains, spec,
                                  gp=gp, lyapunov=lyapunov,
                                  bounds=config.make_bounds(),
@@ -176,14 +169,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     model = config.make_model()
     nominal = config.make_nominal(model)
     gains = config.make_gains()
+    terms = [TERMS[c] for c in config.controllers]
 
     gp = None
-    if any(c in ("gp", "robust_gp") for c in config.controllers):
+    if any(add_mean for add_mean, _ in terms):
         gp, dataset, _ = train_gp(config, model, nominal)
         gpr.save_dataset_csv(dataset, out / "gp_dataset.csv")
         gpr.save_model_txt(gp, out / "gp_model.txt", dataset_ref="gp_dataset.csv")
     lyapunov = (design_lyapunov(gains, model.n_joints)
-                if "robust_gp" in config.controllers else None)
+                if any(add_w for _, add_w in terms) else None)
 
     results = []
     for seed in config.eval_seeds:

@@ -34,10 +34,6 @@ class SinusoidSpec:
     def n_joints(self) -> int:
         return self.frequencies.shape[0]
 
-    @property
-    def n_sinusoids(self) -> int:
-        return self.frequencies.shape[1]
-
 
 @dataclass
 class ReferenceTrajectory:
@@ -65,15 +61,19 @@ def sample_spec(seed: int, n_joints: int = 2, n_sinusoids: int = 5,
     return SinusoidSpec(frequencies=freqs, amplitude=2.0 * np.pi / n_sinusoids, seed=seed)
 
 
-def evaluate(spec: SinusoidSpec, t: float):
-    """Reference position, velocity and acceleration at time t."""
+def evaluate(spec: SinusoidSpec, t):
+    """Reference position, velocity and acceleration at time t.
+
+    A scalar t gives one value per joint; t of shape (n, 1, 1) gives (n, J)
+    arrays, one row per time.
+    """
     w = spec.frequencies
     wt = w * t
     s = np.sin(wt)
     c = np.cos(wt)
-    q = spec.amplitude * s.sum(axis=1)
-    dq = spec.amplitude * (w * c).sum(axis=1)
-    ddq = -spec.amplitude * (w * w * s).sum(axis=1)
+    q = spec.amplitude * s.sum(axis=-1)
+    dq = spec.amplitude * (w * c).sum(axis=-1)
+    ddq = -spec.amplitude * (w * w * s).sum(axis=-1)
     return q, dq, ddq
 
 
@@ -83,13 +83,7 @@ def sample_reference(spec: SinusoidSpec, duration: float, rate: float) -> Refere
         raise ValueError("duration and rate must be positive")
     n = int(round(duration * rate))
     times = np.arange(n) / rate
-    w = spec.frequencies  # (J, S)
-    wt = w[None, :, :] * times[:, None, None]  # (n, J, S)
-    s = np.sin(wt)
-    c = np.cos(wt)
-    q = spec.amplitude * s.sum(axis=2)
-    dq = spec.amplitude * (w[None] * c).sum(axis=2)
-    ddq = -spec.amplitude * (w[None] ** 2 * s).sum(axis=2)
+    q, dq, ddq = evaluate(spec, times[:, None, None])
     return ReferenceTrajectory(times=times, q=q, dq=dq, ddq=ddq)
 
 
@@ -124,17 +118,3 @@ def build_training_set(model: ManipulatorModel, nominal, spec: SinusoidSpec,
         rng = np.random.default_rng(spec.seed if noise_seed is None else noise_seed)
         targets = targets + rng.normal(0.0, noise_std, size=targets.shape)
     return GpDataset(inputs=inputs, targets=targets, noise_std=noise_std)
-
-
-def save_reference_csv(ref: ReferenceTrajectory, path) -> None:
-    """Write the sampled reference as CSV: t, q_d*, dq_d*, ddq_d*."""
-    n_j = ref.q.shape[1]
-    header = (["t"]
-              + [f"qd{j + 1}" for j in range(n_j)]
-              + [f"dqd{j + 1}" for j in range(n_j)]
-              + [f"ddqd{j + 1}" for j in range(n_j)])
-    data = np.column_stack([ref.times, ref.q, ref.dq, ref.ddq])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

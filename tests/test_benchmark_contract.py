@@ -1,10 +1,13 @@
-"""The benchmark's tracer patches gpfl attributes by name; keep them there.
+"""The benchmark uses gpfl names and config fields; keep them there.
 
-`perfbench/tracer.py` is loaded read-only from its file.  A refactor that
-renames or drops one of the names it wraps would make `--trace 1` fail, so
-this test names the break in the suite instead.
+`perfbench/tracer.py` and `perfbench/run.py` are read from their files, never
+changed.  The tracer patches gpfl attributes by name, and every workload
+builds an `ExperimentConfig` from its overrides.  A refactor that renames or
+drops one of those names or fields would make the benchmark fail, so these
+tests name the break in the suite instead.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -12,7 +15,24 @@ import pytest
 
 from gpfl import dynamics, gpr, harness
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def _workload_overrides() -> dict:
+    """`WORKLOADS` from perfbench/run.py as name -> config overrides.
+
+    Only that one assignment is evaluated, so importing the script (which
+    extends sys.path) is avoided.
+    """
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == "WORKLOADS" for t in n.targets))
+    expr = compile(ast.Expression(node.value), str(PERFBENCH / "run.py"), "eval")
+    return eval(expr, {"Workload": lambda eval_seeds, config: config})
+
+
+WORKLOAD_OVERRIDES = _workload_overrides()
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +68,13 @@ def test_tick_controller_takes_variant_first():
         tick = harness.build_tick_controller(variant, model, config.make_nominal(model),
                                              config.make_gains(), spec)
         assert callable(tick)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_OVERRIDES))
+def test_workload_overrides_build_a_config(workload):
+    # as perfbench/workload.py's make_config does
+    config = harness.ExperimentConfig(eval_seeds=(1,), out_dir="results",
+                                      **WORKLOAD_OVERRIDES[workload])
+    model = config.make_model()
+    config.make_nominal(model)
+    config.make_gains()

@@ -15,7 +15,7 @@ GAINS = GainSpec()
 NOMINAL = ScaledIdentityNominal()
 EXACT = TrueModelNominal(MODEL)
 LYAPUNOV = design_lyapunov(GAINS, n_joints=2)
-BOUNDS = BoundParams(beta=3.0, delta=0.1, scaling="sigma")
+BOUNDS = BoundParams(beta=3.0, scaling="sigma")
 
 
 def _law(variant, gp=None, epsilon=0.5):

@@ -107,6 +107,22 @@ class TestConfigIo:
         with pytest.raises(ValueError, match=f"{path}:3: duplicate config key 'kp'"):
             load_config(path)
 
+    @pytest.mark.parametrize("line", ["kp = abc", "eval_seeds = 1,x", "gp_n_starts = 2.5"])
+    def test_malformed_value_names_the_line(self, tmp_path, line):
+        path = tmp_path / "config.txt"
+        path.write_text(f"# gains\n{line}\n")
+        key, _, raw = line.partition(" = ")
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}:2: bad value for {key!r}: {raw!r}"
+
+    def test_removed_keys_rejected(self, tmp_path):
+        for key in ("delta", "nominal_kind", "gp_init_lam", "gp_init_lengthscale"):
+            path = tmp_path / "config.txt"
+            path.write_text(f"{key} = 0.1\n")
+            with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+                load_config(path)
+
     def test_frozen(self):
         config = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -124,15 +140,13 @@ class TestConfigIo:
         with pytest.raises(ValueError):
             ExperimentConfig(duration=-1.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(nominal_kind="exact")
-        with pytest.raises(ValueError):
             ExperimentConfig(eval_seeds=())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", [
         "m1", "m2", "l1", "l2", "r1", "r2", "i1", "i2", "gravity",
-        "nominal_scale", "kp", "kd", "epsilon", "beta", "delta", "noise_std",
-        "gp_init_lam", "gp_init_lengthscale", "omega_min", "omega_max",
+        "nominal_scale", "kp", "kd", "epsilon", "beta", "noise_std",
+        "omega_min", "omega_max",
         "duration", "control_rate", "initial_offset_q", "initial_offset_dq"])
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -227,18 +241,6 @@ class TestRunExperiment:
     def test_gp_stats_beat_nominal(self, small_experiment):
         _, summary, _ = small_experiment
         assert summary.stats["gp"].mean_rmse_deg < summary.stats["nominal"].mean_rmse_deg
-
-
-class TestTrueModelNominalKind:
-    def test_nominal_equals_true_controller(self, tmp_path):
-        config = ExperimentConfig(duration=2.0, eval_seeds=(0,),
-                                  controllers=("true", "nominal"),
-                                  nominal_kind="true_model",
-                                  out_dir=str(tmp_path))
-        summary = run_experiment(config)
-        rmse = {r.controller: r.rmse_avg_deg for r in summary.results}
-        # both runs are the same law on the same exact model
-        assert rmse["nominal"] == rmse["true"]
 
 
 class TestAbortHandling:

@@ -4,7 +4,7 @@ import pytest
 from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, TrueModelNominal
 from gpfl.gpr import mismatch_target, save_dataset_csv
 from gpfl.trajectory import (SinusoidSpec, build_training_set, evaluate,
-                             sample_reference, sample_spec, save_reference_csv)
+                             sample_reference, sample_spec)
 from oracles import TwoLinkOracle
 
 OMEGA_MIN = 0.1 * np.pi
@@ -166,15 +166,3 @@ class TestBuildTrainingSet:
             save_dataset_csv(ds, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_reference_csv_round_trip(tmp_path):
-    spec = sample_spec(2)
-    ref = sample_reference(spec, 1.0, 50.0)
-    path = tmp_path / "ref.csv"
-    save_reference_csv(ref, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,qd1,qd2,dqd1,dqd2,ddqd1,ddqd2"
-    assert len(rows) == 1 + len(ref)
-    got = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
-    np.testing.assert_allclose(got[:, 1:3], ref.q, rtol=1e-15)
