@@ -6,7 +6,8 @@ from .control import (ControllerSpec, GainSpec, LyapunovDesign, control,
 from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RobotState,
                        RunTrace, ScaledIdentityNominal, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, gravity,
-                       inertia, inverse_dynamics, simulate, total_energy)
+                       inertia, inverse_dynamics, simulate, tick_times,
+                       total_energy)
 from .gpr import (BoundParams, GpDataset, GpModel, IllConditionedDatasetError,
                   SeKernelParams, beta_from_lemma, fit, load_dataset_csv,
                   load_model_txt, max_information_gain, mismatch_target,

@@ -79,12 +79,17 @@ class ExperimentConfig:
             raise ValueError("controller list must be non-empty")
         if not self.eval_seeds:
             raise ValueError("need at least one evaluation seed")
+        # numpy's seeding rejects a negative seed only when a run starts
+        if self.training_seed < 0 or min(self.eval_seeds) < 0:
+            raise ValueError("training and evaluation seeds must be nonnegative")
         if self.training_seed in self.eval_seeds:
             raise ValueError("training seed must be disjoint from evaluation seeds")
         if self.duration <= 0 or self.control_rate <= 0:
             raise ValueError("duration and control_rate must be positive")
         if self.integrator_substeps < 1:
             raise ValueError("integrator_substeps must be >= 1")
+        if self.gp_n_starts < 1:
+            raise ValueError("gp_n_starts must be >= 1")
         if self.downsample < 1:
             raise ValueError("downsample must be >= 1")
         if not self.omega_min < self.omega_max:
@@ -114,8 +119,6 @@ class ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, tuple):

@@ -2,9 +2,10 @@
 
 The four compared controllers are one law with terms switched on:
 
-    tau = M_hat(q) a + n_hat(q, dq) [+ GP mean] [+ w(rho)]
+    tau = nominal.torque(q, dq, a) [+ GP mean] [+ w(rho)]
 
-with the commanded acceleration a = ddq_d + K_P q_err + K_D dq_err.
+with the nominal inverse dynamics M_hat(q) a + n_hat(q, dq) at the commanded
+acceleration a = ddq_d + K_P q_err + K_D dq_err.
 `nominal` is the bare law on a deliberately crude model, `gp` adds the GP
 posterior mean of the mismatch, and `robust_gp` also adds the sliding term w,
 sized by the confidence bound rho, with a boundary layer.  `true` is the bare
@@ -119,7 +120,7 @@ def design_lyapunov(gains: GainSpec, n_joints: int,
 def gp_query_acceleration(ddq_d, q_err, dq_err, gains: GainSpec) -> np.ndarray:
     """Commanded acceleration a = ddq_d + K_P q_err + K_D dq_err.
 
-    The law feeds it through the nominal inertia and uses it as the
+    The law feeds it through the nominal inverse dynamics and uses it as the
     acceleration slot of the GP query, since the realized acceleration
     depends on the torque still being computed.
     """
@@ -144,7 +145,7 @@ def diagnostic_arrays(n_ticks: int, n_joints: int) -> dict:
 
 def control(spec: ControllerSpec, nominal, state: RobotState, desired,
             diagnostics: dict | None = None, k: int = 0):
-    """tau = M_hat a + n_hat [+ GP mean] [+ w], with the terms `spec` turns on.
+    """tau = nominal.torque(q, dq, a) [+ GP mean] [+ w], with the terms `spec` turns on.
 
     w = rho * z / ||z|| outside the boundary layer ||z|| >= epsilon and
     rho * z / epsilon inside it, with z = M_hat(q)^{-1} D^T Q xi.  Returns
@@ -158,7 +159,7 @@ def control(spec: ControllerSpec, nominal, state: RobotState, desired,
     q_err = np.asarray(qd, dtype=float) - q
     dq_err = np.asarray(dqd, dtype=float) - dq
     a = gp_query_acceleration(ddqd, q_err, dq_err, spec.gains)
-    tau = nominal.inertia(q) @ a + nominal.bias(q, dq)
+    tau = nominal.torque(q, dq, a)
     if not add_mean:
         return tau, a
 

@@ -106,7 +106,10 @@ class RobotState:
 
 @dataclass(frozen=True)
 class ScaledIdentityNominal:
-    """Deliberately crude nominal model: M_hat = scale * I, n_hat = 0."""
+    """Deliberately crude nominal model: M_hat = scale * I, n_hat = 0.
+
+    `torque` is a nominal model's inverse dynamics M_hat(q) ddq + n_hat(q, dq).
+    """
 
     n_joints: int = 2
     scale: float = 0.5
@@ -115,11 +118,8 @@ class ScaledIdentityNominal:
         if self.scale <= 0:
             raise ValueError("nominal inertia scale must be positive")
 
-    def inertia(self, q) -> np.ndarray:
-        return self.scale * np.eye(self.n_joints)
-
-    def bias(self, q, dq) -> np.ndarray:
-        return np.zeros(self.n_joints)
+    def torque(self, q, dq, ddq) -> np.ndarray:
+        return self.scale * np.asarray(ddq, dtype=float)
 
     def apply_inverse(self, q, v) -> np.ndarray:
         return np.asarray(v, dtype=float) / self.scale
@@ -135,12 +135,8 @@ class TrueModelNominal:
     def n_joints(self) -> int:
         return self.model.n_joints
 
-    def inertia(self, q) -> np.ndarray:
-        return inertia(self.model, q)
-
-    def bias(self, q, dq) -> np.ndarray:
-        dq = np.asarray(dq, dtype=float)
-        return coriolis(self.model, q, dq) @ dq + gravity(self.model, q)
+    def torque(self, q, dq, ddq) -> np.ndarray:
+        return inverse_dynamics(self.model, q, dq, ddq)
 
     def apply_inverse(self, q, v) -> np.ndarray:
         return np.linalg.solve(inertia(self.model, q), np.asarray(v, dtype=float))
@@ -212,6 +208,13 @@ def total_energy(model: ManipulatorModel, state: RobotState) -> float:
     return kinetic_energy(model, state.q, state.dq) + potential_energy(model, state.q)
 
 
+def tick_times(duration: float, rate: float) -> np.ndarray:
+    """Control-tick start times t_k = k / rate, k = 0 .. round(duration * rate) - 1."""
+    if duration <= 0 or rate <= 0:
+        raise ValueError("duration and rate must be positive")
+    return np.arange(round(duration * rate)) / rate
+
+
 def _check_dim(model: ManipulatorModel, v: np.ndarray) -> None:
     if v.shape != (model.n_joints,):
         raise ValueError(f"expected vector of length {model.n_joints}, got shape {v.shape}")
@@ -281,23 +284,18 @@ def simulate(model: ManipulatorModel,
     the offending tick index if the controller raises an ArithmeticError or
     returns a non-finite torque, or if the state leaves the finite range.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if control_rate <= 0:
-        raise ValueError("control_rate must be positive")
+    times = tick_times(duration, control_rate)
     if integrator_substeps < 1:
         raise ValueError("integrator_substeps must be >= 1")
     _check_dim(model, initial.q)
 
     n = model.n_joints
-    n_ticks = int(round(duration * control_rate))
-    dt = 1.0 / control_rate
-    h = dt / integrator_substeps
+    n_ticks = len(times)
+    h = (1.0 / control_rate) / integrator_substeps
 
     # the state lives in four floats; the arrays only record it per tick
     q1, q2 = initial.q.tolist()
     dq1, dq2 = initial.dq.tolist()
-    times = np.arange(n_ticks) * dt
     qs = np.empty((n_ticks, n))
     dqs = np.empty((n_ticks, n))
     taus = np.empty((n_ticks, n))

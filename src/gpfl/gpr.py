@@ -121,8 +121,6 @@ class GpModel:
     alphas: tuple
     chols: tuple
     jitters: tuple
-    x_scaled: tuple
-    noise_var: float
 
     @property
     def n_outputs(self) -> int:
@@ -137,29 +135,33 @@ class GpModel:
         return self.dataset.input_dim
 
 
+def _pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
+    """Per-dimension squared differences, shape (n, n, d)."""
+    return (X[:, None, :] - X[None, :, :]) ** 2
+
+
+def _se(sq_diffs: np.ndarray, lam, lengthscales: np.ndarray) -> np.ndarray:
+    """The one SE-ARD kernel formula, over per-dimension squared differences."""
+    return lam * np.exp(-(sq_diffs @ (1.0 / lengthscales ** 2)))
+
+
 def se_kernel(x, y, params: SeKernelParams) -> float:
     """k(x, y) = lam * exp(-sum_d (x_d - y_d)^2 / l_d^2)."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.shape != params.lengthscales.shape:
         raise ValueError("kernel arguments must match the lengthscale dimension")
-    d = (xv - yv) / params.lengthscales
-    return params.lam * float(np.exp(-np.dot(d, d)))
+    return float(_se((xv - yv) ** 2, params.lam, params.lengthscales))
 
 
 def kernel_matrix(X: np.ndarray, params: SeKernelParams) -> np.ndarray:
-    Z = np.asarray(X, dtype=float) / params.lengthscales
-    sq = np.sum((Z[:, None, :] - Z[None, :, :]) ** 2, axis=2)
-    return params.lam * np.exp(-sq)
+    return _se(_pairwise_sq_diffs(np.asarray(X, dtype=float)), params.lam,
+               params.lengthscales)
 
 
 def mismatch_target(nominal, q, dq, ddq, tau) -> np.ndarray:
-    """Mismatch torque e = tau - M_hat(q) ddq - n_hat(q, dq)."""
-    q = np.asarray(q, dtype=float)
-    dq = np.asarray(dq, dtype=float)
-    ddq = np.asarray(ddq, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    return tau - nominal.inertia(q) @ ddq - nominal.bias(q, dq)
+    """Mismatch torque e = tau - (M_hat(q) ddq + n_hat(q, dq))."""
+    return np.asarray(tau, dtype=float) - nominal.torque(q, dq, ddq)
 
 
 def stable_cholesky(K: np.ndarray, lam: float, noise_var: float):
@@ -181,11 +183,6 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float):
         f"kernel matrix not positive definite even with jitter {MAX_JITTER_FACTOR:g}*lam")
 
 
-def _pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape (n, n, d)."""
-    return (X[:, None, :] - X[None, :, :]) ** 2
-
-
 def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
                   theta: np.ndarray):
     """Log marginal likelihood and gradient w.r.t. log(lam), log(lengthscales).
@@ -196,8 +193,7 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     n = sq_diffs.shape[0]
     lam = np.exp(theta[0])
     ls = np.exp(theta[1:])
-    sq = sq_diffs @ (1.0 / ls ** 2)
-    K = lam * np.exp(-sq)
+    K = _se(sq_diffs, lam, ls)
     L, jitter = stable_cholesky(K, lam, noise_var)
     alpha = scipy.linalg.cho_solve((L, True), y)
     lml = (-0.5 * float(y @ alpha)
@@ -286,20 +282,18 @@ def model_from_params(dataset: GpDataset, params_per_output) -> GpModel:
     params = tuple(params_per_output)
     if len(params) != dataset.n_outputs:
         raise ValueError("need one SeKernelParams per output")
-    noise_var = dataset.noise_std ** 2
-    alphas, chols, jitters, x_scaled = [], [], [], []
+    sq_diffs = _pairwise_sq_diffs(dataset.inputs)
+    alphas, chols, jitters = [], [], []
     for i, p in enumerate(params):
         if p.lengthscales.shape != (dataset.input_dim,):
             raise ValueError("lengthscales must match the input dimension")
-        K = kernel_matrix(dataset.inputs, p)
-        L, jitter = stable_cholesky(K, p.lam, noise_var)
+        K = _se(sq_diffs, p.lam, p.lengthscales)
+        L, jitter = stable_cholesky(K, p.lam, dataset.noise_std ** 2)
         alphas.append(scipy.linalg.cho_solve((L, True), dataset.targets[:, i]))
         chols.append(L)
         jitters.append(jitter)
-        x_scaled.append(dataset.inputs / p.lengthscales)
     return GpModel(dataset=dataset, params=params, alphas=tuple(alphas),
-                   chols=tuple(chols), jitters=tuple(jitters),
-                   x_scaled=tuple(x_scaled), noise_var=noise_var)
+                   chols=tuple(chols), jitters=tuple(jitters))
 
 
 def predict(model: GpModel, x):
@@ -307,11 +301,11 @@ def predict(model: GpModel, x):
     v = np.asarray(x, dtype=float)
     if v.shape != (model.input_dim,):
         raise ValueError("query dimension does not match the training inputs")
+    sq_diffs = (model.dataset.inputs - v) ** 2
     means = np.empty(model.n_outputs)
     variances = np.empty(model.n_outputs)
     for i, p in enumerate(model.params):
-        d = model.x_scaled[i] - v / p.lengthscales
-        k_star = p.lam * np.exp(-np.einsum("nd,nd->n", d, d))
+        k_star = _se(sq_diffs, p.lam, p.lengthscales)
         means[i] = float(k_star @ model.alphas[i])
         w = scipy.linalg.solve_triangular(model.chols[i], k_star, lower=True)
         var = p.lam - float(w @ w)

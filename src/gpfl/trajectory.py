@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ManipulatorModel, inverse_dynamics
+from .dynamics import ManipulatorModel, inverse_dynamics, tick_times
 from .gpr import GpDataset, mismatch_target
 
 
@@ -78,26 +78,23 @@ def evaluate(spec: SinusoidSpec, t):
 
 
 def sample_reference(spec: SinusoidSpec, duration: float, rate: float) -> ReferenceTrajectory:
-    """Evaluate the reference on the control-tick grid t_k = k / rate."""
-    if duration <= 0 or rate <= 0:
-        raise ValueError("duration and rate must be positive")
-    n = int(round(duration * rate))
-    times = np.arange(n) / rate
+    """Evaluate the reference on the control-tick grid `tick_times(duration, rate)`."""
+    times = tick_times(duration, rate)
     q, dq, ddq = evaluate(spec, times[:, None, None])
     return ReferenceTrajectory(times=times, q=q, dq=dq, ddq=ddq)
 
 
 def build_training_set(model: ManipulatorModel, nominal, spec: SinusoidSpec,
                        duration: float = 50.0, control_rate: float = 100.0,
-                       downsample: int = 50, noise_std: float = 0.0,
-                       noise_seed: int | None = None) -> GpDataset:
+                       downsample: int = 50, noise_std: float = 0.0) -> GpDataset:
     """Mismatch-torque dataset from open-loop evaluation of the reference.
 
     The reference is sampled at the control rate, every `downsample`-th
     sample is kept, the required torque is computed by the true inverse
     dynamics at the reference state, and the target is the mismatch between
     that torque and the nominal model's prediction, optionally corrupted by
-    i.i.d. Gaussian noise of standard deviation `noise_std`.
+    i.i.d. Gaussian noise of standard deviation `noise_std`, drawn from the
+    spec's seed.
     """
     if downsample < 1:
         raise ValueError("downsample must be >= 1")
@@ -115,6 +112,6 @@ def build_training_set(model: ManipulatorModel, nominal, spec: SinusoidSpec,
         inputs[row] = np.concatenate([q, dq, ddq])
         targets[row] = mismatch_target(nominal, q, dq, ddq, tau)
     if noise_std > 0.0:
-        rng = np.random.default_rng(spec.seed if noise_seed is None else noise_seed)
+        rng = np.random.default_rng(spec.seed)
         targets = targets + rng.normal(0.0, noise_std, size=targets.shape)
     return GpDataset(inputs=inputs, targets=targets, noise_std=noise_std)

@@ -72,6 +72,16 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "trained GP on 10 samples" in out
 
+    @pytest.mark.parametrize("line", ["gp_n_starts = 0", "training_seed = -1",
+                                      "eval_seeds = 0,-1"])
+    def test_bad_config_rejected_before_any_output(self, tmp_path, capsys, line):
+        path = tmp_path / "config.txt"
+        out = tmp_path / "results"
+        path.write_text(f"{line}\nout_dir = {out}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert "gpfl: bad config" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_full_sweep(self, tmp_path, capsys):

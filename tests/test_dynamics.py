@@ -135,8 +135,8 @@ class TestNominalModels:
     def test_scaled_identity(self):
         nominal = ScaledIdentityNominal(n_joints=2, scale=0.5)
         q = np.array([0.2, -0.4])
-        np.testing.assert_allclose(nominal.inertia(q), 0.5 * np.eye(2))
-        np.testing.assert_allclose(nominal.bias(q, q), np.zeros(2))
+        np.testing.assert_array_equal(nominal.torque(q, q, np.array([1.0, -2.0])),
+                                      [0.5, -1.0])
         np.testing.assert_allclose(nominal.apply_inverse(q, np.array([1.0, -2.0])),
                                    [2.0, -4.0])
 
@@ -148,10 +148,9 @@ class TestNominalModels:
         nominal = TrueModelNominal(UNIT_RODS)
         rng = np.random.default_rng(5)
         for q, dq in _state_pairs(rng, 10):
-            np.testing.assert_allclose(nominal.inertia(q), inertia(UNIT_RODS, q))
-            np.testing.assert_allclose(
-                nominal.bias(q, dq),
-                coriolis(UNIT_RODS, q, dq) @ dq + gravity(UNIT_RODS, q))
+            ddq = rng.uniform(-5, 5, size=2)
+            np.testing.assert_array_equal(nominal.torque(q, dq, ddq),
+                                          inverse_dynamics(UNIT_RODS, q, dq, ddq))
             v = rng.uniform(-5, 5, size=2)
             np.testing.assert_allclose(inertia(UNIT_RODS, q) @ nominal.apply_inverse(q, v),
                                        v, atol=1e-12)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpfl import gpr
 from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, TrueModelNominal
 from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, BoundParams,
                       GpDataset, GpModel, IllConditionedDatasetError,
@@ -59,6 +60,60 @@ class TestKernel:
         params = SeKernelParams(lam=1.0, lengthscales=[1.0, 1.0])
         with pytest.raises(ValueError):
             se_kernel([0.0], [0.0, 0.0], params)
+
+
+def _recording(mp, owner, name, arg_index):
+    """Patch owner.name to record (positional argument arg_index, result) per call."""
+    seen = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append((args[arg_index], result))
+        return result
+    mp.setattr(owner, name, wrapper)
+    return seen
+
+
+class TestOneKernelFormula:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 30),
+           dim=st.integers(1, 6))
+    def test_model_factors_the_lml_kernel_matrix(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, n=n, dim=dim, n_outputs=1,
+                             noise_std=float(rng.uniform(0.0, 0.5)))
+        theta = np.concatenate([[rng.uniform(-2.0, 2.0)], rng.uniform(-1.0, 1.0, dim)])
+        # the parameters as fit turns its best theta into SeKernelParams
+        params = SeKernelParams(lam=float(np.exp(theta[0])), lengthscales=np.exp(theta[1:]))
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _recording(mp, gpr, "stable_cholesky", 0)
+            gpr._lml_and_grad(gpr._pairwise_sq_diffs(ds.inputs), ds.targets[:, 0],
+                              ds.noise_std ** 2, theta)
+            model_from_params(ds, [params])
+        (K_lml, (_, jitter_lml)), (K_model, (_, jitter_model)) = seen
+        np.testing.assert_array_equal(K_model, K_lml)
+        assert jitter_model == jitter_lml
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120),
+           dim=st.integers(1, 6))
+    def test_predict_cross_kernel_at_training_input_is_row_of_k(self, seed, n, dim):
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, n=n, dim=dim)
+        params = [SeKernelParams(lam=float(rng.uniform(0.3, 3.0)),
+                                 lengthscales=rng.uniform(0.3, 3.0, dim))
+                  for _ in range(ds.n_outputs)]
+        with pytest.MonkeyPatch.context() as mp:
+            seen_K = _recording(mp, gpr, "stable_cholesky", 0)
+            model = model_from_params(ds, params)
+            seen_kstar = _recording(mp, gpr.scipy.linalg, "solve_triangular", 1)
+            i = int(rng.integers(n))
+            predict(model, ds.inputs[i])
+        assert len(seen_kstar) == len(seen_K) == ds.n_outputs
+        for out, ((k_star, _), (K, _)) in enumerate(zip(seen_kstar, seen_K)):
+            np.testing.assert_array_equal(k_star, K[i])
+            np.testing.assert_array_equal(k_star, kernel_matrix(ds.inputs, params[out])[i])
 
 
 class TestMismatchTarget:
@@ -198,8 +253,7 @@ class TestPosterior:
 
         def doctored(chol_value):
             return GpModel(dataset=ds, params=params, alphas=(np.zeros(1),),
-                           chols=(np.array([[chol_value]]),), jitters=(0.0,),
-                           x_scaled=(np.zeros((1, 1)),), noise_var=0.0)
+                           chols=(np.array([[chol_value]]),), jitters=(0.0,))
 
         _, var = predict(doctored(1.0 / np.sqrt(1.0 + 5e-10)), np.zeros(1))
         assert var[0] == 0.0

@@ -142,6 +142,17 @@ class TestConfigIo:
         with pytest.raises(ValueError):
             ExperimentConfig(eval_seeds=())
 
+    @pytest.mark.parametrize("field, value", [("eval_seeds", (0, -1)),
+                                              ("training_seed", -1)])
+    def test_negative_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_gp_n_starts_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="gp_n_starts"):
+            ExperimentConfig(gp_n_starts=value)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", [
         "m1", "m2", "l1", "l2", "r1", "r2", "i1", "i2", "gravity",

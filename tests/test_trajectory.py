@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, TrueModelNominal
+from gpfl.dynamics import (ManipulatorModel, RobotState, ScaledIdentityNominal,
+                           TrueModelNominal, simulate)
 from gpfl.gpr import mismatch_target, save_dataset_csv
 from gpfl.trajectory import (SinusoidSpec, build_training_set, evaluate,
                              sample_reference, sample_spec)
@@ -99,6 +102,17 @@ class TestSampleReference:
             np.testing.assert_allclose(ref.q[k], q, atol=1e-12)
             np.testing.assert_allclose(ref.dq[k], dq, atol=1e-12)
             np.testing.assert_allclose(ref.ddq[k], ddq, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(duration=st.floats(0.05, 5.0), rate=st.floats(20.0, 500.0))
+    def test_simulate_ticks_on_the_reference_grid(self, duration, rate):
+        # RMSE compares trace row k with reference row k, so the two grids
+        # must be the same floats, not merely close
+        ref = sample_reference(sample_spec(3), duration, rate)
+        hanging = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
+        trace = simulate(ManipulatorModel(), lambda t, s: np.zeros(2), hanging,
+                         duration, rate, integrator_substeps=1)
+        np.testing.assert_array_equal(trace.times, ref.times)
 
     def test_rejects_bad_arguments(self):
         spec = sample_spec(0)
