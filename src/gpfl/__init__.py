@@ -3,8 +3,8 @@
 from .config import ExperimentConfig, default_config, load_config, save_config
 from .control import (ControllerSpec, GainSpec, LyapunovDesign, control,
                       design_lyapunov, diagnostic_arrays, gp_query_acceleration)
-from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RobotState,
-                       RunTrace, ScaledIdentityNominal, SimulationAborted,
+from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RunTrace,
+                       ScaledIdentityNominal, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, gravity,
                        inertia, inverse_dynamics, simulate, tick_times,
                        total_energy)

@@ -80,8 +80,8 @@ class ExperimentConfig:
         if not self.eval_seeds:
             raise ValueError("need at least one evaluation seed")
         # numpy's seeding rejects a negative seed only when a run starts
-        if self.training_seed < 0 or min(self.eval_seeds) < 0:
-            raise ValueError("training and evaluation seeds must be nonnegative")
+        if min(self.training_seed, self.gp_fit_seed, *self.eval_seeds) < 0:
+            raise ValueError("training, GP-fit and evaluation seeds must be nonnegative")
         if self.training_seed in self.eval_seeds:
             raise ValueError("training seed must be disjoint from evaluation seeds")
         if self.duration <= 0 or self.control_rate <= 0:
@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ValueError("integrator_substeps must be >= 1")
         if self.gp_n_starts < 1:
             raise ValueError("gp_n_starts must be >= 1")
+        if self.gp_max_iter < 1:
+            raise ValueError("gp_max_iter must be >= 1")
         if self.downsample < 1:
             raise ValueError("downsample must be >= 1")
         if not self.omega_min < self.omega_max:
@@ -100,6 +102,10 @@ class ExperimentConfig:
             raise ValueError("noise_std must be nonnegative")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        # the factories run their own checks; run them now, not mid-run
+        self.make_nominal(self.make_model())
+        self.make_gains()
+        self.make_bounds()
 
     def make_model(self) -> ManipulatorModel:
         return ManipulatorModel(masses=(self.m1, self.m2),

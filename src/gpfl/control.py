@@ -21,7 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from . import gpr
-from .dynamics import RobotState
 
 # variant -> (add the GP mean, add the robust term w)
 TERMS = {"true": (False, False), "nominal": (False, False),
@@ -143,7 +142,7 @@ def diagnostic_arrays(n_ticks: int, n_joints: int) -> dict:
             "z_norm": np.full(n_ticks, np.nan)}
 
 
-def control(spec: ControllerSpec, nominal, state: RobotState, desired,
+def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray, desired,
             diagnostics: dict | None = None, k: int = 0):
     """tau = nominal.torque(q, dq, a) [+ GP mean] [+ w], with the terms `spec` turns on.
 
@@ -155,7 +154,6 @@ def control(spec: ControllerSpec, nominal, state: RobotState, desired,
     """
     add_mean, add_w = TERMS[spec.variant]
     qd, dqd, ddqd = desired
-    q, dq = state.q, state.dq
     q_err = np.asarray(qd, dtype=float) - q
     dq_err = np.asarray(dqd, dtype=float) - dq
     a = gp_query_acceleration(ddqd, q_err, dq_err, spec.gains)

@@ -88,22 +88,6 @@ class ManipulatorModel:
         return a, b, c, g1, g2
 
 
-@dataclass
-class RobotState:
-    """Joint positions (rad) and velocities (rad/s)."""
-
-    q: np.ndarray
-    dq: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        self.dq = np.atleast_1d(np.asarray(self.dq, dtype=float))
-        if self.q.shape != self.dq.shape:
-            raise ValueError("q and dq must have the same length")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.dq))):
-            raise ValueError("state entries must be finite")
-
-
 @dataclass(frozen=True)
 class ScaledIdentityNominal:
     """Deliberately crude nominal model: M_hat = scale * I, n_hat = 0.
@@ -180,14 +164,12 @@ def inverse_dynamics(model: ManipulatorModel, q, dq, ddq) -> np.ndarray:
     return inertia(model, q) @ ddq + coriolis(model, q, dq) @ np.asarray(dq, dtype=float) + gravity(model, q)
 
 
-def forward_dynamics(model: ManipulatorModel, state: RobotState, tau: np.ndarray) -> np.ndarray:
+def forward_dynamics(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
     """Joint accelerations from applied torque, via an SPD (Cholesky) solve."""
-    tau = np.asarray(tau, dtype=float)
-    _check_dim(model, tau)
-    _check_dim(model, state.q)
-    if not np.all(np.isfinite(tau)):
-        raise ValueError("torque entries must be finite")
-    return np.array(_accel(model, *state.q.tolist(), *state.dq.tolist(), *tau.tolist()))
+    q = _finite_vector(model, q, "q")
+    dq = _finite_vector(model, dq, "dq")
+    tau = _finite_vector(model, tau, "torque")
+    return np.array(_accel(model, *q.tolist(), *dq.tolist(), *tau.tolist()))
 
 
 def potential_energy(model: ManipulatorModel, q) -> float:
@@ -204,8 +186,8 @@ def kinetic_energy(model: ManipulatorModel, q, dq) -> float:
     return 0.5 * dq @ inertia(model, q) @ dq
 
 
-def total_energy(model: ManipulatorModel, state: RobotState) -> float:
-    return kinetic_energy(model, state.q, state.dq) + potential_energy(model, state.q)
+def total_energy(model: ManipulatorModel, q, dq) -> float:
+    return kinetic_energy(model, q, dq) + potential_energy(model, q)
 
 
 def tick_times(duration: float, rate: float) -> np.ndarray:
@@ -218,6 +200,14 @@ def tick_times(duration: float, rate: float) -> np.ndarray:
 def _check_dim(model: ManipulatorModel, v: np.ndarray) -> None:
     if v.shape != (model.n_joints,):
         raise ValueError(f"expected vector of length {model.n_joints}, got shape {v.shape}")
+
+
+def _finite_vector(model: ManipulatorModel, v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    _check_dim(model, v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} entries must be finite")
+    return v
 
 
 def _accel(model: ManipulatorModel, q1: float, q2: float, dq1: float, dq2: float,
@@ -256,14 +246,15 @@ class RunTrace:
 
     `times[k]` is the start of tick k; `q`, `dq` are the state at that instant
     and `tau` the torque held over [times[k], times[k] + 1/rate).
-    `final_state` is the state after the last tick's integration.
+    `final_q`, `final_dq` are the state after the last tick's integration.
     """
 
     times: np.ndarray
     q: np.ndarray
     dq: np.ndarray
     tau: np.ndarray
-    final_state: RobotState
+    final_q: np.ndarray
+    final_dq: np.ndarray
 
     @property
     def n_ticks(self) -> int:
@@ -271,15 +262,17 @@ class RunTrace:
 
 
 def simulate(model: ManipulatorModel,
-             controller: Callable[[float, RobotState], np.ndarray],
-             initial: RobotState,
+             controller: Callable[[int, float, np.ndarray, np.ndarray], np.ndarray],
+             q0, dq0,
              duration: float,
              control_rate: float,
              integrator_substeps: int = 10) -> RunTrace:
     """Run a zero-order-hold control loop over fixed-step RK4 dynamics.
 
-    The controller is invoked once per tick at `control_rate` Hz and its
-    torque is held constant while the continuous dynamics are advanced with
+    The controller is invoked once per tick at `control_rate` Hz as
+    `controller(k, t, q, dq)`, where q and dq are rows k of the trace arrays
+    (written before the call and never again), and its torque is held
+    constant while the continuous dynamics are advanced with
     `integrator_substeps` RK4 steps per tick.  Raises SimulationAborted with
     the offending tick index if the controller raises an ArithmeticError or
     returns a non-finite torque, or if the state leaves the finite range.
@@ -287,24 +280,26 @@ def simulate(model: ManipulatorModel,
     times = tick_times(duration, control_rate)
     if integrator_substeps < 1:
         raise ValueError("integrator_substeps must be >= 1")
-    _check_dim(model, initial.q)
+    q0 = _finite_vector(model, q0, "q")
+    dq0 = _finite_vector(model, dq0, "dq")
 
     n = model.n_joints
     n_ticks = len(times)
     h = (1.0 / control_rate) / integrator_substeps
 
     # the state lives in four floats; the arrays only record it per tick
-    q1, q2 = initial.q.tolist()
-    dq1, dq2 = initial.dq.tolist()
+    q1, q2 = q0.tolist()
+    dq1, dq2 = dq0.tolist()
     qs = np.empty((n_ticks, n))
     dqs = np.empty((n_ticks, n))
     taus = np.empty((n_ticks, n))
     isfinite = math.isfinite
 
     for k in range(n_ticks):
-        state = RobotState(np.array([q1, q2]), np.array([dq1, dq2]))
+        qs[k] = q1, q2
+        dqs[k] = dq1, dq2
         try:
-            tau = np.asarray(controller(times[k], state), dtype=float)
+            tau = np.asarray(controller(k, times[k], qs[k], dqs[k]), dtype=float)
         except ArithmeticError as exc:
             raise SimulationAborted(k, f"controller raised {type(exc).__name__}: {exc}") from exc
         if tau.shape != (n,):
@@ -312,8 +307,6 @@ def simulate(model: ManipulatorModel,
         tau1, tau2 = tau.tolist()
         if not (isfinite(tau1) and isfinite(tau2)):
             raise SimulationAborted(k, "controller returned a non-finite torque")
-        qs[k] = q1, q2
-        dqs[k] = dq1, dq2
         taus[k] = tau1, tau2
         try:
             for _ in range(integrator_substeps):
@@ -324,8 +317,7 @@ def simulate(model: ManipulatorModel,
         if not (isfinite(q1) and isfinite(q2) and isfinite(dq1) and isfinite(dq2)):
             raise SimulationAborted(k, "state became non-finite")
 
-    return RunTrace(times, qs, dqs, taus,
-                    RobotState(np.array([q1, q2]), np.array([dq1, dq2])))
+    return RunTrace(times, qs, dqs, taus, np.array([q1, q2]), np.array([dq1, dq2]))
 
 
 def _rk4_step(model, q1, q2, dq1, dq2, tau1, tau2, h):

@@ -18,10 +18,9 @@ from . import gpr
 from .config import ExperimentConfig
 from .control import (TERMS, ControllerSpec, GainSpec, LyapunovDesign,
                       control, design_lyapunov, diagnostic_arrays, error_matrix)
-from .dynamics import (ManipulatorModel, RobotState, RunTrace,
-                       SimulationAborted, TrueModelNominal, coriolis,
-                       forward_dynamics, inertia, inverse_dynamics, simulate,
-                       total_energy)
+from .dynamics import (ManipulatorModel, RunTrace, SimulationAborted,
+                       TrueModelNominal, coriolis, forward_dynamics, inertia,
+                       inverse_dynamics, simulate, total_energy)
 from .gpr import (GpDataset, SeKernelParams, default_init_params, fit,
                   mismatch_target, model_from_params, predict)
 from .trajectory import (ReferenceTrajectory, build_training_set, evaluate,
@@ -81,7 +80,7 @@ def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
                           gains: GainSpec, spec, gp=None,
                           lyapunov: LyapunovDesign | None = None, bounds=None,
                           epsilon: float = 0.5, diagnostics: dict | None = None):
-    """Wrap the control law into the (t, state) -> torque callable simulate expects.
+    """Wrap the control law into the (k, t, q, dq) -> torque callable simulate expects.
 
     `true` is the law on the exact model.  With `diagnostics`, tick k also
     records row k, including the true mismatch at the GP query point.
@@ -89,16 +88,12 @@ def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
     law = ControllerSpec(variant, gains, lyapunov, epsilon, gp, bounds)
     if variant == "true":
         nominal = TrueModelNominal(model)
-    k = 0
 
-    def tick(t, state):
-        nonlocal k
-        tau, a = control(law, nominal, state, evaluate(spec, t), diagnostics, k)
+    def tick(k, t, q, dq):
+        tau, a = control(law, nominal, q, dq, evaluate(spec, t), diagnostics, k)
         if diagnostics is not None:
-            tau_needed = inverse_dynamics(model, state.q, state.dq, a)
-            diagnostics["etrue"][k] = mismatch_target(nominal, state.q, state.dq,
-                                                      a, tau_needed)
-        k += 1
+            tau_needed = inverse_dynamics(model, q, dq, a)
+            diagnostics["etrue"][k] = mismatch_target(nominal, q, dq, a, tau_needed)
         return tau
     return tick
 
@@ -123,10 +118,9 @@ def run_tracking(config: ExperimentConfig, controller: str, seed: int,
                                  gp=gp, lyapunov=lyapunov,
                                  bounds=config.make_bounds(),
                                  epsilon=config.epsilon, diagnostics=diagnostics)
-    initial = RobotState(ref.q[0] + config.initial_offset_q,
-                         ref.dq[0] + config.initial_offset_dq)
     try:
-        trace = simulate(model, tick, initial, config.duration,
+        trace = simulate(model, tick, ref.q[0] + config.initial_offset_q,
+                         ref.dq[0] + config.initial_offset_dq, config.duration,
                          config.control_rate, config.integrator_substeps)
     except SimulationAborted as exc:
         return RunResult(controller, seed, None, ref, diagnostics, None, None,
@@ -294,7 +288,7 @@ def validate(config: ExperimentConfig | None = None, seed: int = 0,
         dq = rng.uniform(-2, 2, size=2)
         ddq = rng.uniform(-5, 5, size=2)
         tau = inverse_dynamics(model, q, dq, ddq)
-        ddq_back = forward_dynamics(model, RobotState(q, dq), tau)
+        ddq_back = forward_dynamics(model, q, dq, tau)
         worst = max(worst, float(np.abs(ddq_back - ddq).max()))
     checks.append(("forward_inverse_roundtrip", worst < 1e-9,
                    f"max residual {worst:.2e}"))
@@ -311,11 +305,11 @@ def validate(config: ExperimentConfig | None = None, seed: int = 0,
     checks.append(("skew_symmetry", worst < 1e-6, f"max residual {worst:.2e}"))
 
     # dynamics: torque-free energy conservation
-    state = RobotState(np.array([0.4, 0.9]), np.array([1.0, -0.5]))
-    e0 = total_energy(model, state)
-    trace = simulate(model, lambda t, s: np.zeros(2), state, 10.0,
+    q0, dq0 = np.array([0.4, 0.9]), np.array([1.0, -0.5])
+    e0 = total_energy(model, q0, dq0)
+    trace = simulate(model, lambda k, t, q, dq: np.zeros(2), q0, dq0, 10.0,
                      config.control_rate, config.integrator_substeps)
-    e1 = total_energy(model, trace.final_state)
+    e1 = total_energy(model, trace.final_q, trace.final_dq)
     drift = abs(e1 - e0) / max(abs(e0), 1e-9)
     checks.append(("energy_drift", drift < 1e-4, f"relative drift {drift:.2e}"))
 

@@ -13,8 +13,7 @@ import pytest
 from gpfl.cli import main
 from gpfl.config import ExperimentConfig, save_config
 from gpfl.control import ControllerSpec, control, gp_query_acceleration
-from gpfl.dynamics import (RobotState, coriolis, gravity, inertia, simulate,
-                           total_energy)
+from gpfl.dynamics import coriolis, gravity, inertia, simulate, total_energy
 from gpfl.gpr import (GpDataset, SeKernelParams, load_dataset_csv,
                       load_model_txt, max_information_gain, model_from_params,
                       predict, se_kernel)
@@ -133,11 +132,11 @@ def test_criterion_6_dynamics_oracles(experiment):
         skew = m_dot - 2.0 * coriolis(model, q, dq)
         worst_skew = max(worst_skew, np.abs(skew + skew.T).max())
 
-    state = RobotState(q=np.array([0.4, 0.9]), dq=np.array([1.0, -0.5]))
-    e0 = total_energy(model, state)
-    trace = simulate(model, lambda t, s: np.zeros(2), state, duration=10.0,
+    q0, dq0 = np.array([0.4, 0.9]), np.array([1.0, -0.5])
+    e0 = total_energy(model, q0, dq0)
+    trace = simulate(model, lambda k, t, q, dq: np.zeros(2), q0, dq0, duration=10.0,
                      control_rate=100.0)
-    e1 = total_energy(model, trace.final_state)
+    e1 = total_energy(model, trace.final_q, trace.final_dq)
     drift = abs(e1 - e0) / abs(e0)
     print(f"criterion 6: worst EOM dev {worst_eom:.2e} (<1e-8), "
           f"skew residual {worst_skew:.2e} (<1e-6), energy drift {drift:.2e} (<1e-4)")
@@ -166,12 +165,12 @@ def test_criterion_7_prior_recovery_far_from_data(experiment):
     model = config.make_model()
     nominal = config.make_nominal(model)
     gains = config.make_gains()
-    state = RobotState(q=x_far[:2], dq=x_far[2:4])
+    q, dq = x_far[:2], x_far[2:4]
     desired = (x_far[:2].copy(), x_far[2:4].copy(), x_far[4:6].copy())
     a = gp_query_acceleration(desired[2], np.zeros(2), np.zeros(2), gains)
     np.testing.assert_array_equal(a, x_far[4:6])
-    tau_gp, _ = control(ControllerSpec("gp", gains, gp=gp), nominal, state, desired)
-    tau_nominal, _ = control(ControllerSpec("nominal", gains), nominal, state, desired)
+    tau_gp, _ = control(ControllerSpec("gp", gains, gp=gp), nominal, q, dq, desired)
+    tau_nominal, _ = control(ControllerSpec("nominal", gains), nominal, q, dq, desired)
     tau_gap = np.abs(tau_gp - tau_nominal).max()
     print(f"criterion 7: at {scaled_gap:.1f} lengthscales out, ||mean||={mean_norm:.2e} "
           f"(<1e-6*sqrt(lam)), |var-lam|max={var_gap:.2e} (<1e-6), "

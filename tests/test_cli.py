@@ -72,8 +72,12 @@ class TestTrainCommand:
         out = capsys.readouterr().out
         assert "trained GP on 10 samples" in out
 
-    @pytest.mark.parametrize("line", ["gp_n_starts = 0", "training_seed = -1",
-                                      "eval_seeds = 0,-1"])
+    @pytest.mark.parametrize("line", [
+        "gp_n_starts = 0", "training_seed = -1", "eval_seeds = 0,-1",
+        "gp_max_iter = 0", "gp_max_iter = -1", "gp_fit_seed = -1",
+        # checked by the factories the config builds its parts with
+        "beta = -1", "kp = 0", "kd = -1", "nominal_scale = 0",
+        "m1 = 0", "l2 = -1", "r1 = 0", "i2 = -0.1"])
     def test_bad_config_rejected_before_any_output(self, tmp_path, capsys, line):
         path = tmp_path / "config.txt"
         out = tmp_path / "results"

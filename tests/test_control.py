@@ -4,7 +4,7 @@ import pytest
 from gpfl.control import (ControllerSpec, GainSpec, LyapunovDesign, control,
                           design_lyapunov, diagnostic_arrays, error_matrix,
                           gp_query_acceleration)
-from gpfl.dynamics import (ManipulatorModel, RobotState, ScaledIdentityNominal,
+from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            TrueModelNominal, forward_dynamics, gravity,
                            inverse_dynamics, simulate)
 from gpfl.gpr import (BoundParams, GpDataset, SeKernelParams, model_from_params,
@@ -23,8 +23,8 @@ def _law(variant, gp=None, epsilon=0.5):
                           gp=gp, bounds=BOUNDS)
 
 
-def _tau(variant, state, desired, gp=None, nominal=NOMINAL):
-    tau, _ = control(_law(variant, gp), nominal, state, desired)
+def _tau(variant, q, dq, desired, gp=None, nominal=NOMINAL):
+    tau, _ = control(_law(variant, gp), nominal, q, dq, desired)
     return tau
 
 
@@ -116,38 +116,36 @@ class TestGpQueryAcceleration:
 class TestControlTrue:
     def test_static_zero_error_is_gravity_compensation(self):
         q = np.array([0.4, -0.9])
-        state = RobotState(q=q.copy(), dq=np.zeros(2))
-        tau = _tau("true", state, (q, np.zeros(2), np.zeros(2)), nominal=EXACT)
+        dq = np.zeros(2)
+        tau = _tau("true", q, dq, (q, np.zeros(2), np.zeros(2)), nominal=EXACT)
         np.testing.assert_allclose(tau, gravity(MODEL, q), atol=1e-12)
 
     def test_achieves_commanded_acceleration(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            state = RobotState(q=rng.uniform(-2, 2, 2), dq=rng.uniform(-1, 1, 2))
+            q, dq = rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2)
             qd = rng.uniform(-2, 2, 2)
             dqd = rng.uniform(-1, 1, 2)
             ddqd = rng.uniform(-3, 3, 2)
-            aux = (ddqd + GAINS.kp * (qd - state.q) + GAINS.kd * (dqd - state.dq))
-            tau = _tau("true", state, (qd, dqd, ddqd), nominal=EXACT)
-            ddq = forward_dynamics(MODEL, state, tau)
+            aux = (ddqd + GAINS.kp * (qd - q) + GAINS.kd * (dqd - dq))
+            tau = _tau("true", q, dq, (qd, dqd, ddqd), nominal=EXACT)
+            ddq = forward_dynamics(MODEL, q, dq, tau)
             np.testing.assert_allclose(ddq, aux, atol=1e-9)
 
     def test_regulation_error_decays(self):
         qd = np.array([0.5, -0.3])
         desired = (qd, np.zeros(2), np.zeros(2))
 
-        def controller(t, state):
-            return _tau("true", state, desired, nominal=EXACT)
+        def controller(k, t, q, dq):
+            return _tau("true", q, dq, desired, nominal=EXACT)
 
-        initial = RobotState(q=qd + np.array([0.3, -0.2]), dq=np.zeros(2))
-        trace = simulate(MODEL, controller, initial, duration=2.0,
-                         control_rate=100.0)
+        trace = simulate(MODEL, controller, qd + np.array([0.3, -0.2]),
+                         np.zeros(2), duration=2.0, control_rate=100.0)
         norms = [np.linalg.norm(np.concatenate([qd - trace.q[k],
                                                 -trace.dq[k]]))
                  for k in (0, 50, 100)]
         assert norms[0] > norms[1] > norms[2]
-        final = np.linalg.norm(np.concatenate([qd - trace.final_state.q,
-                                               trace.final_state.dq]))
+        final = np.linalg.norm(np.concatenate([qd - trace.final_q, trace.final_dq]))
         assert final < 1e-3
 
 
@@ -155,46 +153,46 @@ class TestControlNominal:
     def test_true_nominal_matches_control_true(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            state = RobotState(q=rng.uniform(-2, 2, 2), dq=rng.uniform(-1, 1, 2))
+            q, dq = rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2)
             desired = (rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                        rng.uniform(-3, 3, 2))
-            tau, a = control(_law("nominal"), EXACT, state, desired)
+            tau, a = control(_law("nominal"), EXACT, q, dq, desired)
             np.testing.assert_array_equal(
-                a, gp_query_acceleration(desired[2], desired[0] - state.q,
-                                         desired[1] - state.dq, GAINS))
+                a, gp_query_acceleration(desired[2], desired[0] - q,
+                                         desired[1] - dq, GAINS))
             np.testing.assert_array_equal(
-                tau, inverse_dynamics(MODEL, state.q, state.dq, a))
+                tau, inverse_dynamics(MODEL, q, dq, a))
 
     def test_variant_does_not_switch_on_gp(self):
         # every run is handed the trained GP; only the variant turns terms on
         gp = _fit_gp_on_noise()
-        state = RobotState(q=np.array([0.2, -0.1]), dq=np.array([0.3, 0.1]))
+        q, dq = np.array([0.2, -0.1]), np.array([0.3, 0.1])
         desired = (np.array([0.25, 0.0]), np.zeros(2), np.array([0.5, -0.5]))
         for variant in ("true", "nominal"):
-            with_gp, _ = control(_law(variant, gp), NOMINAL, state, desired)
-            np.testing.assert_array_equal(with_gp, _tau(variant, state, desired))
+            with_gp, _ = control(_law(variant, gp), NOMINAL, q, dq, desired)
+            np.testing.assert_array_equal(with_gp, _tau(variant, q, dq, desired))
 
     def test_scaled_identity_zero_error_gives_zero_torque(self):
         q = np.array([1.0, -1.0])
-        state = RobotState(q=q.copy(), dq=np.zeros(2))
-        tau = _tau("nominal", state, (q, np.zeros(2), np.zeros(2)))
+        dq = np.zeros(2)
+        tau = _tau("nominal", q, dq, (q, np.zeros(2), np.zeros(2)))
         np.testing.assert_array_equal(tau, np.zeros(2))
 
     def test_scaled_identity_formula(self):
-        state = RobotState(q=np.array([0.2, 0.1]), dq=np.array([-0.3, 0.4]))
+        q, dq = np.array([0.2, 0.1]), np.array([-0.3, 0.4])
         qd, dqd, ddqd = np.array([0.5, 0.0]), np.array([0.1, 0.2]), np.array([1.0, -1.0])
-        aux = ddqd + GAINS.kp * (qd - state.q) + GAINS.kd * (dqd - state.dq)
-        tau = _tau("nominal", state, (qd, dqd, ddqd))
+        aux = ddqd + GAINS.kp * (qd - q) + GAINS.kd * (dqd - dq)
+        tau = _tau("nominal", q, dq, (qd, dqd, ddqd))
         np.testing.assert_allclose(tau, 0.5 * aux, atol=1e-12)
 
 
 class TestControlGp:
     def test_zero_target_gp_equals_nominal(self):
         gp = _zero_target_gp()
-        state = RobotState(q=np.array([0.3, -0.2]), dq=np.array([0.1, 0.0]))
+        q, dq = np.array([0.3, -0.2]), np.array([0.1, 0.0])
         desired = (np.zeros(2), np.zeros(2), np.zeros(2))
-        tau_gp = _tau("gp", state, desired, gp)
-        tau_nom = _tau("nominal", state, desired)
+        tau_gp = _tau("gp", q, dq, desired, gp)
+        tau_nom = _tau("nominal", q, dq, desired)
         np.testing.assert_allclose(tau_gp, tau_nom, atol=1e-14)
 
     def test_far_query_falls_back_to_nominal(self):
@@ -203,42 +201,42 @@ class TestControlGp:
         ds = GpDataset(inputs=X, targets=rng.normal(size=(10, 2)), noise_std=0.1)
         params = SeKernelParams(lam=1.0, lengthscales=np.ones(6))
         gp = model_from_params(ds, [params, params])
-        state = RobotState(q=np.array([40.0, 40.0]), dq=np.array([40.0, 40.0]))
-        desired = (state.q.copy(), state.dq.copy(), np.full(2, 40.0))
-        tau_gp = _tau("gp", state, desired, gp)
-        tau_nom = _tau("nominal", state, desired)
+        q, dq = np.array([40.0, 40.0]), np.array([40.0, 40.0])
+        desired = (q.copy(), dq.copy(), np.full(2, 40.0))
+        tau_gp = _tau("gp", q, dq, desired, gp)
+        tau_nom = _tau("nominal", q, dq, desired)
         np.testing.assert_allclose(tau_gp, tau_nom, atol=1e-10)
 
     def test_decomposes_as_nominal_plus_mean(self):
         gp = _fit_gp_on_noise()
-        state = RobotState(q=np.array([0.2, -0.1]), dq=np.array([0.3, 0.1]))
+        q, dq = np.array([0.2, -0.1]), np.array([0.3, 0.1])
         desired = (np.array([0.25, 0.0]), np.zeros(2), np.array([0.5, -0.5]))
-        a = gp_query_acceleration(desired[2], desired[0] - state.q,
-                                  desired[1] - state.dq, GAINS)
-        mean, _ = predict(gp, np.concatenate([state.q, state.dq, a]))
-        tau_gp = _tau("gp", state, desired, gp)
-        tau_nom = _tau("nominal", state, desired)
+        a = gp_query_acceleration(desired[2], desired[0] - q,
+                                  desired[1] - dq, GAINS)
+        mean, _ = predict(gp, np.concatenate([q, dq, a]))
+        tau_gp = _tau("gp", q, dq, desired, gp)
+        tau_nom = _tau("nominal", q, dq, desired)
         np.testing.assert_array_equal(tau_gp, tau_nom + mean)
 
 
 class TestControlRobustGp:
     lyapunov = LYAPUNOV
 
-    def _call(self, gp, state, desired, epsilon=0.5):
+    def _call(self, gp, q, dq, desired, epsilon=0.5):
         """Torque, the robust term w alone, and the tick's diagnostics row."""
         diagnostics = diagnostic_arrays(1, 2)
-        tau, _ = control(_law("robust_gp", gp, epsilon), NOMINAL, state, desired,
+        tau, _ = control(_law("robust_gp", gp, epsilon), NOMINAL, q, dq, desired,
                          diagnostics)
-        w = tau - _tau("gp", state, desired, gp)
+        w = tau - _tau("gp", q, dq, desired, gp)
         return tau, w, {key: arr[0] for key, arr in diagnostics.items()}
 
     def test_zero_error_adds_nothing(self):
         gp = _zero_target_gp()
         q = np.array([0.3, 0.3])
-        state = RobotState(q=q.copy(), dq=np.zeros(2))
+        dq = np.zeros(2)
         desired = (q.copy(), np.zeros(2), np.array([1.0, -2.0]))
-        tau, _, row = self._call(gp, state, desired)
-        np.testing.assert_allclose(tau, _tau("gp", state, desired, gp), atol=1e-14)
+        tau, _, row = self._call(gp, q, dq, desired)
+        np.testing.assert_allclose(tau, _tau("gp", q, dq, desired, gp), atol=1e-14)
         assert row["z_norm"] == 0.0
         assert row["V"] == 0.0
         assert row["rho"] > 0.0
@@ -252,22 +250,22 @@ class TestControlRobustGp:
         ws = []
         for scale in (1.0 - 1e-6, 1.0 + 1e-6):
             offset = c_star * scale * direction
-            state = RobotState(q=np.zeros(2), dq=np.zeros(2))
+            q, dq = np.zeros(2), np.zeros(2)
             desired = (offset[:2], offset[2:], np.zeros(2))
-            _, w, row = self._call(gp, state, desired, epsilon=epsilon)
+            _, w, row = self._call(gp, q, dq, desired, epsilon=epsilon)
             assert (row["z_norm"] < epsilon) == (scale < 1.0)
             ws.append(w)
         assert np.abs(ws[0] - ws[1]).max() < 1e-4
 
     def test_outside_layer_hand_computation(self):
         gp = _zero_target_gp(lam=2.0)
-        state = RobotState(q=np.full(2, 30.0), dq=np.zeros(2))
-        qd = state.q + np.array([8.0, -4.0])
+        q, dq = np.full(2, 30.0), np.zeros(2)
+        qd = q + np.array([8.0, -4.0])
         dqd = np.array([6.0, 2.0])
         desired = (qd, dqd, np.zeros(2))
-        tau, _, row = self._call(gp, state, desired)
+        tau, _, row = self._call(gp, q, dq, desired)
 
-        xi = np.concatenate([qd - state.q, dqd - state.dq])
+        xi = np.concatenate([qd - q, dqd - dq])
         z = 2.0 * (self.lyapunov.Q[2:, :] @ xi)
         z_norm = np.linalg.norm(z)
         assert z_norm >= 0.5
@@ -287,9 +285,9 @@ class TestControlRobustGp:
         ws = []
         for frac in (0.2, 0.4):
             offset = frac * epsilon / z_gain * direction
-            state = RobotState(q=np.zeros(2), dq=np.zeros(2))
+            q, dq = np.zeros(2), np.zeros(2)
             desired = (offset[:2], offset[2:], np.zeros(2))
-            _, w, row = self._call(gp, state, desired, epsilon=epsilon)
+            _, w, row = self._call(gp, q, dq, desired, epsilon=epsilon)
             assert row["z_norm"] == pytest.approx(frac * epsilon, rel=1e-9)
             ws.append(w)
         np.testing.assert_allclose(ws[1], 2.0 * ws[0], atol=1e-9)
@@ -298,10 +296,10 @@ class TestControlRobustGp:
         gp = _zero_target_gp()
         monkeypatch.setattr("gpfl.gpr.rho_from_mean_var",
                             lambda mean, var, bounds: (0.0, np.zeros(len(mean))))
-        state = RobotState(q=np.array([0.1, -0.4]), dq=np.array([0.2, 0.0]))
+        q, dq = np.array([0.1, -0.4]), np.array([0.2, 0.0])
         desired = (np.array([0.6, 0.1]), np.array([0.0, 0.3]), np.array([1.0, 1.0]))
-        tau, _, row = self._call(gp, state, desired)
-        np.testing.assert_array_equal(tau, _tau("gp", state, desired, gp))
+        tau, _, row = self._call(gp, q, dq, desired)
+        np.testing.assert_array_equal(tau, _tau("gp", q, dq, desired, gp))
         assert row["rho"] == 0.0
 
     def test_w_norm_bounded_by_rho(self):
@@ -309,10 +307,10 @@ class TestControlRobustGp:
         rng = np.random.default_rng(17)
         cap = 3.0 * np.sqrt(2.0) * np.sqrt(2.0)
         for _ in range(20):
-            state = RobotState(q=rng.uniform(-2, 2, 2), dq=rng.uniform(-1, 1, 2))
+            q, dq = rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2)
             desired = (rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                        rng.uniform(-2, 2, 2))
-            _, w, row = self._call(gp, state, desired)
+            _, w, row = self._call(gp, q, dq, desired)
             assert np.linalg.norm(w) <= row["rho"] + 1e-9
             assert row["rho"] <= cap + 1e-9
 
@@ -320,25 +318,25 @@ class TestControlRobustGp:
         gp = _zero_target_gp()
         monkeypatch.setattr("gpfl.gpr.rho_from_mean_var",
                             lambda mean, var, bounds: (np.nan, np.full(2, np.nan)))
-        state = RobotState(q=np.zeros(2), dq=np.zeros(2))
+        q, dq = np.zeros(2), np.zeros(2)
         desired = (np.ones(2), np.zeros(2), np.zeros(2))
         with pytest.raises(FloatingPointError):
-            self._call(gp, state, desired)
+            self._call(gp, q, dq, desired)
 
     def test_epsilon_zero_pure_sliding(self):
         gp = _zero_target_gp(lam=2.0)
-        state = RobotState(q=np.zeros(2), dq=np.zeros(2))
+        q, dq = np.zeros(2), np.zeros(2)
         desired = (np.array([0.01, 0.0]), np.zeros(2), np.zeros(2))
-        _, w, row = self._call(gp, state, desired, epsilon=0.0)
+        _, w, row = self._call(gp, q, dq, desired, epsilon=0.0)
         assert np.linalg.norm(w) == pytest.approx(row["rho"], rel=1e-12)
 
     def test_epsilon_zero_at_origin_gives_zero_w(self):
         gp = _zero_target_gp()
         q = np.array([0.2, -0.2])
-        state = RobotState(q=q.copy(), dq=np.zeros(2))
+        dq = np.zeros(2)
         desired = (q.copy(), np.zeros(2), np.zeros(2))
-        tau, _, _ = self._call(gp, state, desired, epsilon=0.0)
-        np.testing.assert_array_equal(tau, _tau("gp", state, desired, gp))
+        tau, _, _ = self._call(gp, q, dq, desired, epsilon=0.0)
+        np.testing.assert_array_equal(tau, _tau("gp", q, dq, desired, gp))
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
@@ -346,19 +344,19 @@ class TestControlRobustGp:
 
     def test_pure_function(self):
         gp = _zero_target_gp()
-        state = RobotState(q=np.array([0.4, -0.1]), dq=np.array([0.0, 0.2]))
+        q, dq = np.array([0.4, -0.1]), np.array([0.0, 0.2])
         desired = (np.array([0.5, 0.0]), np.zeros(2), np.array([0.3, 0.3]))
-        tau1, _, row1 = self._call(gp, state, desired)
-        tau2, _, row2 = self._call(gp, state, desired)
+        tau1, _, row1 = self._call(gp, q, dq, desired)
+        tau2, _, row2 = self._call(gp, q, dq, desired)
         np.testing.assert_array_equal(tau1, tau2)
         assert row1["rho"] == row2["rho"]
         assert row1["V"] == row2["V"]
 
     def test_fills_only_its_row(self):
         gp = _zero_target_gp()
-        state = RobotState(q=np.array([0.1, 0.2]), dq=np.array([0.3, 0.4]))
+        q, dq = np.array([0.1, 0.2]), np.array([0.3, 0.4])
         diagnostics = diagnostic_arrays(3, 2)
-        control(_law("robust_gp", gp), NOMINAL, state,
+        control(_law("robust_gp", gp), NOMINAL, q, dq,
                 (np.zeros(2), np.zeros(2), np.zeros(2)), diagnostics, k=1)
         for key, arr in diagnostics.items():
             assert np.isnan(arr[0]).all() and np.isnan(arr[2]).all()

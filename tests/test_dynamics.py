@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfl import dynamics
-from gpfl.dynamics import (ManipulatorModel, RobotState, ScaledIdentityNominal,
+from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            SimulationAborted, TrueModelNominal, coriolis,
                            forward_dynamics, gravity, inertia,
                            inverse_dynamics, kinetic_energy, potential_energy,
@@ -117,14 +117,14 @@ class TestStructuralProperties:
         for q, dq in _state_pairs(rng, 30):
             ddq = rng.uniform(-8.0, 8.0, size=2)
             tau = inverse_dynamics(ASYMMETRIC, q, dq, ddq)
-            back = forward_dynamics(ASYMMETRIC, RobotState(q, dq), tau)
+            back = forward_dynamics(ASYMMETRIC, q, dq, tau)
             np.testing.assert_allclose(back, ddq, atol=1e-9)
 
     def test_forward_dynamics_algebraic_identity(self):
         rng = np.random.default_rng(4)
         for q, dq in _state_pairs(rng, 30):
             tau = rng.uniform(-30.0, 30.0, size=2)
-            ddq = forward_dynamics(UNIT_RODS, RobotState(q, dq), tau)
+            ddq = forward_dynamics(UNIT_RODS, q, dq, tau)
             residual = (inertia(UNIT_RODS, q) @ ddq
                         + coriolis(UNIT_RODS, q, dq) @ dq
                         + gravity(UNIT_RODS, q) - tau)
@@ -164,7 +164,7 @@ class TestRk4Kernel:
            h=st.floats(1e-6, 0.1))
     def test_scalar_step_equals_vector_step_exactly(self, model, q, dq, tau, h):
         def accel(qv, dqv, tauv):
-            return forward_dynamics(model, RobotState(qv, dqv), tauv)
+            return forward_dynamics(model, qv, dqv, tauv)
 
         q_ref, dq_ref = rk4_step_vector(accel, np.array(q), np.array(dq),
                                         np.array(tau), h)
@@ -183,85 +183,115 @@ class TestModelValidation:
             ManipulatorModel(masses=(0.0, 1.0))
 
     def test_state_requires_finite_entries(self):
-        with pytest.raises(ValueError):
-            RobotState(np.array([np.nan, 0.0]), np.zeros(2))
+        for q0, dq0 in ((np.array([np.nan, 0.0]), np.zeros(2)),
+                        (np.zeros(2), np.array([0.0, np.inf]))):
+            calls = []
+            with pytest.raises(ValueError, match="must be finite"):
+                simulate(UNIT_RODS, lambda k, t, q, dq: calls.append(k),
+                         q0, dq0, 1.0, 100.0)
+            assert calls == []
+            with pytest.raises(ValueError, match="must be finite"):
+                forward_dynamics(UNIT_RODS, q0, dq0, np.zeros(2))
 
     def test_state_requires_matching_shapes(self):
-        with pytest.raises(ValueError):
-            RobotState(np.zeros(2), np.zeros(3))
+        for q0, dq0 in ((np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(2)),
+                        (np.zeros((2, 1)), np.zeros(2))):
+            calls = []
+            with pytest.raises(ValueError, match="expected vector of length 2"):
+                simulate(UNIT_RODS, lambda k, t, q, dq: calls.append(k),
+                         q0, dq0, 1.0, 100.0)
+            assert calls == []
+
+
+def _zero_torque(k, t, q, dq):
+    return np.zeros(2)
 
 
 class TestSimulate:
     def test_equilibrium_stays_at_rest(self):
         # hanging straight down with zero velocity is a fixed point
-        initial = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
-        trace = simulate(UNIT_RODS, lambda t, s: np.zeros(2), initial, 1.0, 100.0)
-        np.testing.assert_allclose(trace.final_state.q, initial.q, atol=1e-9)
-        np.testing.assert_allclose(trace.final_state.dq, np.zeros(2), atol=1e-9)
+        q0 = np.array([-np.pi / 2.0, 0.0])
+        trace = simulate(UNIT_RODS, _zero_torque, q0, np.zeros(2), 1.0, 100.0)
+        np.testing.assert_allclose(trace.final_q, q0, atol=1e-9)
+        np.testing.assert_allclose(trace.final_dq, np.zeros(2), atol=1e-9)
 
     def test_tick_grid(self):
-        initial = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
-        trace = simulate(UNIT_RODS, lambda t, s: np.zeros(2), initial, 2.0, 50.0)
+        trace = simulate(UNIT_RODS, _zero_torque, np.array([-np.pi / 2.0, 0.0]),
+                         np.zeros(2), 2.0, 50.0)
         assert trace.n_ticks == 100
         np.testing.assert_allclose(trace.times, np.arange(100) / 50.0)
         assert trace.q.shape == trace.dq.shape == trace.tau.shape == (100, 2)
 
+    def test_controller_sees_tick_index_time_and_recorded_state(self):
+        calls = []
+
+        def controller(k, t, q, dq):
+            # copies: what the controller saw at call time, not the rows now
+            calls.append((k, t, q.copy(), dq.copy()))
+            return np.array([0.5 * np.sin(3.0 * t), -0.2])
+
+        trace = simulate(UNIT_RODS, controller, np.array([0.4, 0.9]),
+                         np.array([1.0, -0.5]), 1.0, 50.0, integrator_substeps=3)
+        assert len(calls) == trace.n_ticks == 50
+        for k, (k_seen, t, q, dq) in enumerate(calls):
+            assert k_seen == k
+            assert t == trace.times[k]
+            assert (q == trace.q[k]).all() and (dq == trace.dq[k]).all()
+
     def test_gravity_compensation_holds_pose(self):
         q0 = np.array([0.3, 0.5])
         hold = gravity(UNIT_RODS, q0)
-        trace = simulate(UNIT_RODS, lambda t, s: hold, RobotState(q0, np.zeros(2)),
+        trace = simulate(UNIT_RODS, lambda k, t, q, dq: hold, q0, np.zeros(2),
                          0.5, 100.0)
         # the pose is a (possibly unstable) equilibrium under constant g(q0)
-        np.testing.assert_allclose(trace.final_state.q, q0, atol=1e-6)
+        np.testing.assert_allclose(trace.final_q, q0, atol=1e-6)
 
     def test_torque_free_energy_conservation(self):
-        state = RobotState(np.array([0.4, 0.9]), np.array([1.0, -0.5]))
-        e0 = total_energy(UNIT_RODS, state)
-        trace = simulate(UNIT_RODS, lambda t, s: np.zeros(2), state, 10.0, 100.0)
-        e1 = total_energy(UNIT_RODS, trace.final_state)
+        q0, dq0 = np.array([0.4, 0.9]), np.array([1.0, -0.5])
+        e0 = total_energy(UNIT_RODS, q0, dq0)
+        trace = simulate(UNIT_RODS, _zero_torque, q0, dq0, 10.0, 100.0)
+        e1 = total_energy(UNIT_RODS, trace.final_q, trace.final_dq)
         assert abs(e1 - e0) / abs(e0) < 1e-6
 
     def test_substep_self_convergence(self):
-        state = RobotState(np.array([0.4, 0.9]), np.array([1.0, -0.5]))
-        t10 = simulate(UNIT_RODS, lambda t, s: np.zeros(2), state, 2.0, 100.0,
+        q0, dq0 = np.array([0.4, 0.9]), np.array([1.0, -0.5])
+        t10 = simulate(UNIT_RODS, _zero_torque, q0, dq0, 2.0, 100.0,
                        integrator_substeps=10)
-        t20 = simulate(UNIT_RODS, lambda t, s: np.zeros(2), state, 2.0, 100.0,
+        t20 = simulate(UNIT_RODS, _zero_torque, q0, dq0, 2.0, 100.0,
                        integrator_substeps=20)
-        assert np.abs(t10.final_state.q - t20.final_state.q).max() < 1e-6
-        assert np.abs(t10.final_state.dq - t20.final_state.dq).max() < 1e-6
+        assert np.abs(t10.final_q - t20.final_q).max() < 1e-6
+        assert np.abs(t10.final_dq - t20.final_dq).max() < 1e-6
 
     def test_abort_reports_tick_for_nonfinite_torque(self):
-        def controller(t, state):
+        def controller(k, t, q, dq):
             return np.array([np.nan, 0.0]) if t >= 0.07 else np.zeros(2)
 
-        initial = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
         with pytest.raises(SimulationAborted) as exc:
-            simulate(UNIT_RODS, controller, initial, 1.0, 100.0)
+            simulate(UNIT_RODS, controller, np.array([-np.pi / 2.0, 0.0]),
+                     np.zeros(2), 1.0, 100.0)
         assert exc.value.tick == 7
 
     def test_controller_arithmetic_error_aborts_at_its_tick(self):
-        def controller(t, state):
+        def controller(k, t, q, dq):
             if t >= 0.03:
                 raise FloatingPointError("posterior variance below the clamp")
             return np.zeros(2)
 
-        initial = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
         with pytest.raises(SimulationAborted) as exc:
-            simulate(UNIT_RODS, controller, initial, 1.0, 100.0)
+            simulate(UNIT_RODS, controller, np.array([-np.pi / 2.0, 0.0]),
+                     np.zeros(2), 1.0, 100.0)
         assert exc.value.tick == 3
         assert "FloatingPointError" in exc.value.reason
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_divergent_state(self):
-        initial = RobotState(np.zeros(2), np.zeros(2))
         with pytest.raises(SimulationAborted):
-            simulate(UNIT_RODS, lambda t, s: np.array([1e250, -1e250]),
-                     initial, 1.0, 100.0)
+            simulate(UNIT_RODS, lambda k, t, q, dq: np.array([1e250, -1e250]),
+                     np.zeros(2), np.zeros(2), 1.0, 100.0)
 
     def test_rejects_bad_arguments(self):
-        initial = RobotState(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
-            simulate(UNIT_RODS, lambda t, s: np.zeros(2), initial, -1.0, 100.0)
+            simulate(UNIT_RODS, _zero_torque, np.zeros(2), np.zeros(2), -1.0, 100.0)
         with pytest.raises(ValueError):
-            simulate(UNIT_RODS, lambda t, s: np.zeros(2), initial, 1.0, 100.0,
+            simulate(UNIT_RODS, _zero_torque, np.zeros(2), np.zeros(2), 1.0, 100.0,
                      integrator_substeps=0)

@@ -5,7 +5,7 @@ import pytest
 
 from gpfl import harness
 from gpfl.config import ExperimentConfig, default_config, load_config, save_config
-from gpfl.dynamics import RobotState, RunTrace
+from gpfl.dynamics import RunTrace
 from gpfl.harness import (ControllerStats, RunResult, compute_rmse,
                           run_experiment, run_tracking, summarize, train_gp,
                           validate)
@@ -14,11 +14,9 @@ from gpfl.trajectory import ReferenceTrajectory
 
 def _make_trace(q, times=None):
     q = np.asarray(q, dtype=float)
-    n, nj = q.shape
-    times = np.arange(n) / 100.0 if times is None else times
-    return RunTrace(times=times, q=q, dq=np.zeros_like(q),
-                    tau=np.zeros_like(q),
-                    final_state=RobotState(q[-1], np.zeros(nj)))
+    times = np.arange(len(q)) / 100.0 if times is None else times
+    return RunTrace(times=times, q=q, dq=np.zeros_like(q), tau=np.zeros_like(q),
+                    final_q=q[-1], final_dq=np.zeros(q.shape[1]))
 
 
 def _make_reference(q, times=None):
@@ -141,6 +139,8 @@ class TestConfigIo:
             ExperimentConfig(duration=-1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(eval_seeds=())
+        with pytest.raises(ValueError):
+            ExperimentConfig(rho_scaling="linear")
 
     @pytest.mark.parametrize("field, value", [("eval_seeds", (0, -1)),
                                               ("training_seed", -1)])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfl.dynamics import (ManipulatorModel, RobotState, ScaledIdentityNominal,
+from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            TrueModelNominal, simulate)
 from gpfl.gpr import mismatch_target, save_dataset_csv
 from gpfl.trajectory import (SinusoidSpec, build_training_set, evaluate,
@@ -109,8 +109,8 @@ class TestSampleReference:
         # RMSE compares trace row k with reference row k, so the two grids
         # must be the same floats, not merely close
         ref = sample_reference(sample_spec(3), duration, rate)
-        hanging = RobotState(np.array([-np.pi / 2.0, 0.0]), np.zeros(2))
-        trace = simulate(ManipulatorModel(), lambda t, s: np.zeros(2), hanging,
+        trace = simulate(ManipulatorModel(), lambda k, t, q, dq: np.zeros(2),
+                         np.array([-np.pi / 2.0, 0.0]), np.zeros(2),
                          duration, rate, integrator_substeps=1)
         np.testing.assert_array_equal(trace.times, ref.times)
 
