@@ -177,7 +177,10 @@ def load_config(path) -> ExperimentConfig:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
                                  f"{raw.strip()!r}") from None
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def default_config() -> ExperimentConfig:

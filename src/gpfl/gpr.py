@@ -25,6 +25,8 @@ RHO_SCALINGS = ("sigma", "variance")
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
 
+_trtrs = scipy.linalg.get_lapack_funcs("trtrs", dtype=np.float64)
+
 
 class IllConditionedDatasetError(RuntimeError):
     """Kernel matrix stayed non positive definite through the jitter ladder."""
@@ -113,7 +115,10 @@ class GpDataset:
 class GpModel:
     """Per-output kernel params with cached Cholesky factors and weights.
 
-    Immutable after fit; predict only reads from it.
+    Immutable after fit; predict only reads from it.  The factors and weights
+    are validated once here, so predict need not rescan them per query: each
+    factor is a finite, Fortran-ordered (n, n) array with a positive
+    diagonal, each weight vector a finite (n,) array.
     """
 
     dataset: GpDataset
@@ -121,6 +126,26 @@ class GpModel:
     alphas: tuple
     chols: tuple
     jitters: tuple
+
+    def __post_init__(self):
+        n = self.dataset.n_samples
+        if not len(self.alphas) == len(self.chols) == len(self.params):
+            raise ValueError("need one factor and one weight vector per output")
+        chols = tuple(np.asfortranarray(L, dtype=float) for L in self.chols)
+        alphas = tuple(np.asarray(a, dtype=float) for a in self.alphas)
+        for i, (L, alpha) in enumerate(zip(chols, alphas)):
+            if L.shape != (n, n):
+                raise ValueError(f"factor {i} has shape {L.shape}, expected {(n, n)}")
+            if not np.isfinite(L).all():
+                raise ValueError(f"factor {i} is not finite")
+            if not (np.diagonal(L) > 0.0).all():
+                raise ValueError(f"factor {i} has a non-positive diagonal entry")
+            if alpha.shape != (n,):
+                raise ValueError(f"weights {i} have shape {alpha.shape}, expected {(n,)}")
+            if not np.isfinite(alpha).all():
+                raise ValueError(f"weights {i} are not finite")
+        object.__setattr__(self, "chols", chols)
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def n_outputs(self) -> int:
@@ -297,17 +322,28 @@ def model_from_params(dataset: GpDataset, params_per_output) -> GpModel:
 
 
 def predict(model: GpModel, x):
-    """Posterior mean and variance per output at a single query location."""
+    """Posterior mean and variance per output at a single query location.
+
+    Costs one triangular solve per output on the cached factor (GPML
+    Alg. 2.1).  A non-finite query raises FloatingPointError, so a run that
+    produces one aborts like any other arithmetic failure.
+    """
     v = np.asarray(x, dtype=float)
     if v.shape != (model.input_dim,):
         raise ValueError("query dimension does not match the training inputs")
+    if not np.isfinite(v).all():
+        raise FloatingPointError("GP query is not finite")
     sq_diffs = (model.dataset.inputs - v) ** 2
     means = np.empty(model.n_outputs)
     variances = np.empty(model.n_outputs)
     for i, p in enumerate(model.params):
         k_star = _se(sq_diffs, p.lam, p.lengthscales)
         means[i] = float(k_star @ model.alphas[i])
-        w = scipy.linalg.solve_triangular(model.chols[i], k_star, lower=True)
+        # what solve_triangular runs for a Fortran-ordered factor, minus its
+        # per-call finiteness scan of L (GpModel checked L once)
+        w, info = _trtrs(model.chols[i], k_star, lower=1)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"trtrs failed with info {info}")
         var = p.lam - float(w @ w)
         if var < VARIANCE_CLAMP:
             raise FloatingPointError(

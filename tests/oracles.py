@@ -11,6 +11,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import sympy as sp
 
 
@@ -111,6 +112,29 @@ def gp_posterior_dense(X, y, x_star, lam, lengthscales, noise_var, jitter=0.0):
     mean = ks @ A_inv @ y
     var = lam - ks @ A_inv @ ks
     return mean, var
+
+
+def predict_reference(model, x):
+    """GP posterior mean and variance per output at one query, solved with
+    `scipy.linalg.solve_triangular` and its default input checks.
+
+    Reads only the model's data (training inputs, kernel parameters, weights
+    and Cholesky factors) and repeats the kernel formula operation for
+    operation, so a faster solve on the same factor must agree bit for bit.
+    """
+    v = np.asarray(x, dtype=float)
+    sq_diffs = (model.dataset.inputs - v) ** 2
+    means = np.empty(len(model.params))
+    variances = np.empty(len(model.params))
+    for i, p in enumerate(model.params):
+        k_star = p.lam * np.exp(-(sq_diffs @ (1.0 / p.lengthscales ** 2)))
+        means[i] = float(k_star @ model.alphas[i])
+        w = scipy.linalg.solve_triangular(model.chols[i], k_star, lower=True)
+        var = p.lam - float(w @ w)
+        if var < -1e-9:
+            raise FloatingPointError(f"posterior variance {var:.3e} below clamp")
+        variances[i] = max(var, 0.0)
+    return means, variances
 
 
 def info_gain_exhaustive(candidates, kernel_fn, noise_var, budget):

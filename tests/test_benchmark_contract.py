@@ -70,6 +70,32 @@ def test_tick_controller_takes_variant_first():
         assert callable(tick)
 
 
+@pytest.fixture(scope="module")
+def small_gp():
+    config = harness.ExperimentConfig(duration=1.0, downsample=5, gp_n_starts=1,
+                                      eval_seeds=(0,))
+    gp, _, _ = harness.train_gp(config)
+    return gp
+
+
+@pytest.mark.parametrize("variant", ["gp", "robust_gp"])
+def test_gp_run_predicts_once_per_tick(monkeypatch, small_gp, variant):
+    # perfbench/test_perfbench.py expects gpr.predict.calls == runs * ticks
+    calls = []
+    real_predict = gpr.predict
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(gpr, "predict", counting)
+    config = harness.ExperimentConfig(duration=0.2, eval_seeds=(0,))
+    result = harness.run_tracking(config, variant, 0, gp=small_gp)
+    assert result.status == "ok"
+    assert result.trace.n_ticks == 20
+    assert len(calls) == 20
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_OVERRIDES))
 def test_workload_overrides_build_a_config(workload):
     # as perfbench/workload.py's make_config does

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, BoundParams,
                       mismatch_target, model_from_params, predict,
                       rho_from_mean_var, save_dataset_csv, save_model_txt,
                       se_kernel, stable_cholesky)
-from oracles import TwoLinkOracle, gp_posterior_dense, info_gain_exhaustive
+from oracles import (TwoLinkOracle, gp_posterior_dense, info_gain_exhaustive,
+                     predict_reference)
 
 
 def _random_dataset(rng, n=20, dim=3, n_outputs=2, noise_std=0.3):
@@ -107,7 +110,7 @@ class TestOneKernelFormula:
         with pytest.MonkeyPatch.context() as mp:
             seen_K = _recording(mp, gpr, "stable_cholesky", 0)
             model = model_from_params(ds, params)
-            seen_kstar = _recording(mp, gpr.scipy.linalg, "solve_triangular", 1)
+            seen_kstar = _recording(mp, gpr, "_trtrs", 1)
             i = int(rng.integers(n))
             predict(model, ds.inputs[i])
         assert len(seen_kstar) == len(seen_K) == ds.n_outputs
@@ -247,6 +250,15 @@ class TestPosterior:
         with pytest.raises(ValueError):
             predict(model, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises_floating_point_error(self, bad):
+        rng = np.random.default_rng(0)
+        ds = _random_dataset(rng, n=5, dim=3)
+        params = SeKernelParams(lam=1.0, lengthscales=np.ones(3))
+        model = model_from_params(ds, [params, params])
+        with pytest.raises(FloatingPointError):
+            predict(model, np.array([0.0, bad, 0.0]))
+
     def test_variance_clamp_boundaries(self):
         ds = GpDataset(inputs=np.zeros((1, 1)), targets=np.zeros((1, 1)))
         params = (SeKernelParams(lam=1.0, lengthscales=[1.0]),)
@@ -259,6 +271,76 @@ class TestPosterior:
         assert var[0] == 0.0
         with pytest.raises(FloatingPointError):
             predict(doctored(0.1), np.zeros(1))
+
+
+def _outcome(predict_fn, model, x):
+    """(means, variances) as tuples, or the exception type predict_fn raised."""
+    try:
+        mean, var = predict_fn(model, x)
+    except FloatingPointError as exc:
+        return type(exc)
+    return tuple(mean), tuple(var)
+
+
+class TestPredictMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 300),
+           dim=st.integers(1, 6), n_outputs=st.integers(1, 2),
+           noise_std=st.floats(0.0, 0.5))
+    def test_bitwise_equal_to_solve_triangular(self, seed, n, dim, n_outputs, noise_std):
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, n=n, dim=dim, n_outputs=n_outputs,
+                             noise_std=noise_std)
+        params = [SeKernelParams(lam=float(rng.uniform(0.3, 3.0)),
+                                 lengthscales=rng.uniform(0.3, 3.0, dim))
+                  for _ in range(n_outputs)]
+        model = model_from_params(ds, params)
+        x_train = ds.inputs[int(rng.integers(n))]
+        step = rng.normal(size=dim)
+        queries = (x_train,
+                   x_train + 1e-6 * step / np.linalg.norm(step),
+                   rng.uniform(-2.0, 2.0, dim) + 50.0)
+        for x in queries:
+            assert _outcome(predict, model, x) == _outcome(predict_reference, model, x)
+
+
+def _with_entry(L, index, value):
+    L = L.copy()
+    L[index] = value
+    return L
+
+
+class TestGpModelValidation:
+    @staticmethod
+    def _model():
+        rng = np.random.default_rng(0)
+        ds = _random_dataset(rng, n=4, dim=2, n_outputs=1)
+        return model_from_params(ds, [SeKernelParams(lam=1.0, lengthscales=np.ones(2))])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda L: _with_entry(L, (2, 1), np.nan), "not finite"),
+        (lambda L: L[:, :3], "has shape"),
+        (lambda L: _with_entry(L, (1, 1), 0.0), "non-positive diagonal"),
+        (lambda L: _with_entry(L, (1, 1), -L[1, 1]), "non-positive diagonal"),
+    ], ids=["nan_entry", "non_square", "zero_diagonal", "negative_diagonal"])
+    def test_bad_factor_rejected(self, edit, message):
+        model = self._model()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(model, chols=(edit(model.chols[0]),))
+
+    def test_wrong_weight_length_rejected(self):
+        model = self._model()
+        with pytest.raises(ValueError, match="weights 0 have shape"):
+            dataclasses.replace(model, alphas=(model.alphas[0][:3],))
+        with pytest.raises(ValueError, match="one factor and one weight vector"):
+            dataclasses.replace(model, alphas=())
+
+    def test_c_ordered_factor_stored_fortran_ordered(self):
+        model = self._model()
+        copy = dataclasses.replace(model, chols=(np.ascontiguousarray(model.chols[0]),))
+        assert copy.chols[0].flags.f_contiguous
+        x = np.full(model.input_dim, 0.3)
+        assert _outcome(predict, copy, x) == _outcome(predict, model, x)
 
 
 class TestFit:

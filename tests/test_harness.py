@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gpfl import harness
+from gpfl import gpr, harness
 from gpfl.config import ExperimentConfig, default_config, load_config, save_config
 from gpfl.dynamics import RunTrace
 from gpfl.harness import (ControllerStats, RunResult, compute_rmse,
@@ -120,6 +120,16 @@ class TestConfigIo:
             path.write_text(f"{key} = 0.1\n")
             with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
                 load_config(path)
+
+    @pytest.mark.parametrize("key", ["m1", "kd"])
+    def test_rejected_value_names_the_file(self, tmp_path, key):
+        path = tmp_path / "config.txt"
+        path.write_text(f"{key} = 0\n")
+        with pytest.raises(ValueError) as direct:
+            ExperimentConfig(**{key: 0.0})
+        with pytest.raises(ValueError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: {direct.value}"
 
     def test_frozen(self):
         config = ExperimentConfig()
@@ -293,6 +303,29 @@ class TestAbortHandling:
         assert status["true"] == "ok"
         assert status["nominal"].startswith("aborted@0: ")
         assert "FloatingPointError" in status["nominal"]
+
+    def test_non_finite_gp_query_aborts_one_run_not_the_sweep(self, tmp_path, monkeypatch):
+        bad_tick = 7
+        real_predict = gpr.predict
+        calls = []
+
+        def corrupting(model, x):
+            # only the gp run queries the GP, so the call count is its tick
+            calls.append(None)
+            if len(calls) == bad_tick + 1:
+                x = np.full_like(x, np.nan)
+            return real_predict(model, x)
+
+        monkeypatch.setattr(gpr, "predict", corrupting)
+        config = ExperimentConfig(duration=1.0, downsample=5, gp_n_starts=1,
+                                  eval_seeds=(0,), controllers=("true", "gp"),
+                                  out_dir=str(tmp_path))
+        summary = run_experiment(config)
+        status = {r.controller: r.status for r in summary.results}
+        assert status["true"] == "ok"
+        assert status["gp"].startswith(f"aborted@{bad_tick}: ")
+        assert "FloatingPointError" in status["gp"]
+        assert (tmp_path / "summary.csv").is_file()
 
 
 class TestLyapunovDecreaseMechanism:
