@@ -16,6 +16,7 @@ import numpy as np
 from .control import VARIANTS, GainSpec
 from .dynamics import ManipulatorModel, ScaledIdentityNominal
 from .gpr import RHO_SCALINGS, BoundParams
+from .textio import FLOAT, read_pairs
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class ExperimentConfig:
 
 def _format_value(value) -> str:
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return FLOAT % value
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)
@@ -140,7 +141,6 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def _parse_value(name: str, field_type, raw: str):
-    raw = raw.strip()
     # np.float64 defaults (e.g. kd, omega bounds) must still parse as float
     if issubclass(field_type, float):
         return float(raw)
@@ -156,27 +156,15 @@ def _parse_value(name: str, field_type, raw: str):
 
 def load_config(path) -> ExperimentConfig:
     """Parse a key=value config file; unknown or repeated keys are an error."""
-    field_map = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     type_map = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in field_map:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
-            try:
-                values[key] = _parse_value(key, type_map[key], raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
-                                 f"{raw.strip()!r}") from None
+    for key, (lineno, raw) in read_pairs(path).items():
+        if key not in type_map:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(key, type_map[key], raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from None
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:

@@ -17,6 +17,8 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+from .textio import FLOAT, read_pairs, write_table
+
 BASE_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-4
 VARIANCE_CLAMP = -1e-9
@@ -423,12 +425,8 @@ def save_dataset_csv(dataset: GpDataset, path) -> None:
              + [f"dq{j + 1}" for j in range(n_j)]
              + [f"ddq{j + 1}" for j in range(n_j)]
              + [f"e{i + 1}" for i in range(dataset.n_outputs)])
-    data = np.column_stack([dataset.inputs, dataset.targets])
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# noise_std={dataset.noise_std:.17g}\n")
-        fh.write(",".join(names) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, names, [dataset.inputs, dataset.targets],
+                preamble=f"# noise_std={FLOAT % dataset.noise_std}\n")
 
 
 def _number(path, lineno: int, name: str, raw: str, kind=float):
@@ -483,37 +481,25 @@ def save_model_txt(model: GpModel, path, dataset_ref: str = "") -> None:
     lines.append(f"n_outputs={model.n_outputs}")
     lines.append(f"n_samples={model.n_samples}")
     lines.append(f"input_dim={model.input_dim}")
-    lines.append(f"noise_std={model.dataset.noise_std:.17g}")
+    lines.append(f"noise_std={FLOAT % model.dataset.noise_std}")
     for i, p in enumerate(model.params, start=1):
-        lines.append(f"output{i}.lambda={p.lam:.17g}")
+        lines.append(f"output{i}.lambda={FLOAT % p.lam}")
         for d, ell in enumerate(p.lengthscales, start=1):
-            lines.append(f"output{i}.lengthscale{d}={ell:.17g}")
-        lines.append(f"output{i}.jitter={model.jitters[i - 1]:.17g}")
+            lines.append(f"output{i}.lengthscale{d}={FLOAT % ell}")
+        lines.append(f"output{i}.jitter={FLOAT % model.jitters[i - 1]}")
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model_txt(path):
     """Parse a key-value export; returns (params_per_output, metadata dict)."""
-    meta, line_of = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in meta:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            meta[key] = value.strip()
-            line_of[key] = lineno
+    pairs = read_pairs(path)
 
     def need(key, kind=float):
-        if key not in meta:
+        if key not in pairs:
             raise ValueError(f"{path}: missing key {key!r}")
-        return _number(path, line_of[key], key, meta[key], kind)
+        lineno, raw = pairs[key]
+        return _number(path, lineno, key, raw, kind)
 
     n_outputs = need("n_outputs", int)
     input_dim = need("input_dim", int)
@@ -523,4 +509,4 @@ def load_model_txt(path):
         ls = np.array([need(f"output{i}.lengthscale{d}")
                        for d in range(1, input_dim + 1)])
         params.append(SeKernelParams(lam=lam, lengthscales=ls))
-    return params, meta
+    return params, {key: raw for key, (_, raw) in pairs.items()}

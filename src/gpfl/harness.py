@@ -3,8 +3,8 @@
 Reproduces the tracking comparison: train the mismatch GP once on the
 training-seed trajectory, run every (evaluation seed, controller) pair for
 the configured duration, and emit trace CSVs, plot-ready series and a
-summary table.  All writers use 17-significant-digit floats so identical
-configs produce byte-identical files.
+summary table.  All writers use `textio`'s 17-significant-digit floats so
+identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .dynamics import (ManipulatorModel, RunTrace, SimulationAborted,
                        inverse_dynamics, simulate, total_energy)
 from .gpr import (GpDataset, SeKernelParams, default_init_params, fit,
                   mismatch_target, model_from_params, predict)
+from .textio import FLOAT, write_table
 from .trajectory import (ReferenceTrajectory, build_training_set, evaluate,
                          sample_reference, sample_spec)
 
@@ -188,10 +189,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     return summary
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def write_trace_csv(path, result: RunResult) -> None:
     """Per-tick trace; GP/robust columns are nan for the other variants."""
     trace, ref = result.trace, result.reference
@@ -201,18 +198,10 @@ def write_trace_csv(path, result: RunResult) -> None:
         diagnostics = diagnostic_arrays(n, n_j)
     series = {"q": trace.q, "dq": trace.dq, "qd": ref.q, "qe": ref.q - trace.q,
               "dqe": ref.dq - trace.dq, "tau": trace.tau, **diagnostics}
-    columns = [("t", trace.times)]
+    names = ["t"]
     for name, arr in series.items():
-        if arr.ndim == 1:
-            columns.append((name, arr))
-        else:
-            columns.extend((f"{name}{j + 1}", arr[:, j]) for j in range(n_j))
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
-        data = np.column_stack([arr for _, arr in columns])
-        for row in data:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        names.extend([name] if arr.ndim == 1 else [f"{name}{j + 1}" for j in range(n_j)])
+    write_table(path, names, [trace.times, *series.values()])
 
 
 def write_plotdata(out_dir, result: RunResult) -> None:
@@ -221,14 +210,11 @@ def write_plotdata(out_dir, result: RunResult) -> None:
     plot_dir.mkdir(parents=True, exist_ok=True)
     trace, ref = result.trace, result.reference
     for j in range(trace.q.shape[1]):
-        path = plot_dir / f"{result.controller}_joint{j + 1}.csv"
         abs_err_deg = np.degrees(np.abs(ref.q[:, j] - trace.q[:, j]))
-        with open(path, "w", newline="") as fh:
-            fh.write("t,q_rad,qd_rad,abs_err_deg,tau_Nm\n")
-            for k in range(trace.n_ticks):
-                fh.write(",".join(_fmt(v) for v in
-                                  (trace.times[k], trace.q[k, j], ref.q[k, j],
-                                   abs_err_deg[k], trace.tau[k, j])) + "\n")
+        write_table(plot_dir / f"{result.controller}_joint{j + 1}.csv",
+                    ["t", "q_rad", "qd_rad", "abs_err_deg", "tau_Nm"],
+                    [trace.times, trace.q[:, j], ref.q[:, j], abs_err_deg,
+                     trace.tau[:, j]])
 
 
 def write_summary_csv(path, summary: RunSummary) -> None:
@@ -236,8 +222,8 @@ def write_summary_csv(path, summary: RunSummary) -> None:
         fh.write("controller,seed,rmse_j1_deg,rmse_j2_deg,rmse_avg_deg,status\n")
         for r in summary.results:
             if r.status == "ok":
-                fields = [r.controller, str(r.seed), _fmt(r.rmse_joints_deg[0]),
-                          _fmt(r.rmse_joints_deg[1]), _fmt(r.rmse_avg_deg), "ok"]
+                fields = [r.controller, str(r.seed), FLOAT % r.rmse_joints_deg[0],
+                          FLOAT % r.rmse_joints_deg[1], FLOAT % r.rmse_avg_deg, "ok"]
             else:
                 fields = [r.controller, str(r.seed), "nan", "nan", "nan",
                           r.status.replace(",", ";")]

@@ -102,7 +102,7 @@ class TestConfigIo:
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("kp = 10\n# gains\nkp = 20\n")
-        with pytest.raises(ValueError, match=f"{path}:3: duplicate config key 'kp'"):
+        with pytest.raises(ValueError, match=f"{path}:3: duplicate key 'kp'"):
             load_config(path)
 
     @pytest.mark.parametrize("line", ["kp = abc", "eval_seeds = 1,x", "gp_n_starts = 2.5"])
