@@ -29,8 +29,10 @@ def _load(args) -> ExperimentConfig:
         config = default_config()
     else:
         config = load_config(args.config)
-    # replace() reruns __post_init__, so an override is validated like the file
-    overrides = {"out_dir": args.out, "integrator_substeps": args.substeps}
+    # replace() reruns __post_init__, so an override is validated like the file;
+    # run's --seed is its one evaluation seed, validate's an RNG seed
+    overrides = {"out_dir": args.out, "integrator_substeps": args.substeps,
+                 "eval_seeds": (args.seed,) if args.command == "run" else None}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -67,7 +69,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return _cmd_train(config)
         if args.command == "run":
-            return _cmd_run(config, args.seed, args.controller)
+            return _cmd_run(config, config.eval_seeds[0], args.controller)
         if args.command == "experiment":
             return _cmd_experiment(config)
         if args.command == "validate":

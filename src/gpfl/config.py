@@ -80,6 +80,11 @@ class ExperimentConfig:
             raise ValueError("controller list must be non-empty")
         if not self.eval_seeds:
             raise ValueError("need at least one evaluation seed")
+        # a repeat would rerun a trajectory, overwrite its trace and count it twice
+        for name, values in (("eval_seeds", self.eval_seeds),
+                             ("controllers", self.controllers)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values}")
         # numpy's seeding rejects a negative seed only when a run starts
         if min(self.training_seed, self.gp_fit_seed, *self.eval_seeds) < 0:
             raise ValueError("training, GP-fit and evaluation seeds must be nonnegative")

@@ -11,6 +11,7 @@ estimate and the lemma-style beta.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class SeKernelParams:
         object.__setattr__(self, "lengthscales", ls)
         if not (np.isfinite(lam) and lam > 0):
             raise ValueError("lam must be positive and finite")
-        if ls.ndim != 1 or not (np.isfinite(ls).all() and (ls > 0).all()):
-            raise ValueError("lengthscales must be positive finite scalars")
+        if ls.ndim != 1 or ls.size == 0 or not (np.isfinite(ls).all() and (ls > 0).all()):
+            raise ValueError("lengthscales must be a non-empty vector of positive finite scalars")
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,14 @@ def predict(model: GpModel, x):
 
 def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray,
                       bounds: BoundParams):
-    """rho_i = max{|mu_i - h_i|, |mu_i + h_i|}; rho = sqrt(sum rho_i^2)."""
+    """rho_i = max{|mu_i - h_i|, |mu_i + h_i|} = |mu_i| + h_i; rho = sqrt(sum rho_i^2).
+
+    For a half-width h_i >= 0 the two forms are bit-equal under IEEE
+    round-to-nearest: rounding is symmetric, so for mu_i < 0 the computed
+    mu_i - h_i is exactly -(|mu_i| + h_i), and for mu_i >= 0 the computed
+    mu_i + h_i is |mu_i| + h_i and, rounding being monotone, no smaller than
+    |mu_i - h_i|.
+    """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
     beta = bounds.beta_vector(len(mean))
@@ -365,7 +373,7 @@ def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray,
         half = beta * np.sqrt(variance)
     else:
         half = beta * variance
-    components = np.maximum(np.abs(mean - half), np.abs(mean + half))
+    components = np.abs(mean) + half
     return float(np.sqrt(np.sum(components ** 2))), components
 
 
@@ -456,6 +464,13 @@ def load_dataset_csv(path) -> GpDataset:
                 for name in header:
                     if not re.fullmatch(r"(q|dq|ddq|e)\d+", name):
                         raise ValueError(f"{path}:{lineno}: unknown column {name!r}")
+                # the order save_dataset_csv writes, which fixes the GP's input order
+                counts = Counter(name.rstrip("0123456789") for name in header)
+                expected = [f"{kind}{k}" for kind in ("q", "dq", "ddq", "e")
+                            for k in range(1, counts[kind] + 1)]
+                if header != expected:
+                    raise ValueError(f"{path}:{lineno}: columns {','.join(header)} "
+                                     f"are not in the order {','.join(expected)}")
                 continue
             values = line.split(",")
             if len(values) != len(header):
@@ -491,8 +506,16 @@ def save_model_txt(model: GpModel, path, dataset_ref: str = "") -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_MODEL_KEYS = ("dataset", "n_outputs", "n_samples", "input_dim", "noise_std")
+_OUTPUT_KEY = re.compile(r"output([1-9]\d*)\.(?:lambda|jitter|lengthscale([1-9]\d*))")
+
+
 def load_model_txt(path):
-    """Parse a key-value export; returns (params_per_output, metadata dict)."""
+    """Parse a key-value export; returns (params_per_output, metadata dict).
+
+    Every key must be one save_model_txt writes for the file's n_outputs and
+    input_dim; any other key is an error naming its line.
+    """
     pairs = read_pairs(path)
 
     def need(key, kind=float):
@@ -503,6 +526,15 @@ def load_model_txt(path):
 
     n_outputs = need("n_outputs", int)
     input_dim = need("input_dim", int)
+    for key, value in (("n_outputs", n_outputs), ("input_dim", input_dim)):
+        if value < 1:
+            raise ValueError(f"{path}:{pairs[key][0]}: {key} must be >= 1, got {value}")
+    for key, (lineno, _) in pairs.items():
+        output = _OUTPUT_KEY.fullmatch(key)
+        known = key in _MODEL_KEYS or (output is not None and int(output[1]) <= n_outputs
+                                       and int(output[2] or 1) <= input_dim)
+        if not known:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     params = []
     for i in range(1, n_outputs + 1):
         lam = need(f"output{i}.lambda")

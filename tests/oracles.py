@@ -180,3 +180,12 @@ def finite_difference_inertia_rate(inertia_fn, q, dq, h=1e-6):
         e[k] = h
         Mdot += (inertia_fn(q + e) - inertia_fn(q - e)) / (2 * h) * dq[k]
     return Mdot
+
+
+def table_reference(path, names, columns, preamble=""):
+    """The per-value table writer: a header row, then each value as `.17g`."""
+    data = np.column_stack(columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(preamble + ",".join(names) + "\n")
+        for row in data:
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")

@@ -54,6 +54,15 @@ class TestRunCommand:
         assert "gpfl: bad config" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("seed", ["1000", "-1"])
+    def test_seed_obeys_the_config_seed_rules(self, tmp_path, capsys, seed):
+        # 1000 is the training seed; --seed is the run's one evaluation seed
+        config = _write_config(tmp_path)
+        assert main(["run", "--config", config, "--controller", "true",
+                     "--seed", seed]) == 1
+        assert capsys.readouterr().err.startswith("gpfl: bad config: ")
+        assert not (tmp_path / "results").exists()
+
     def test_unknown_controller_rejected_by_parser(self, tmp_path):
         config = _write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -74,7 +83,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("line", [
         "gp_n_starts = 0", "training_seed = -1", "eval_seeds = 0,-1",
-        "gp_max_iter = 0", "gp_max_iter = -1", "gp_fit_seed = -1",
+        "gp_max_iter = 0", "gp_max_iter = -1", "gp_fit_seed = -1", "eval_seeds = 3,3",
         # checked by the factories the config builds its parts with
         "beta = -1", "kp = 0", "kd = -1", "nominal_scale = 0",
         "m1 = 0", "l2 = -1", "r1 = 0", "i2 = -0.1"])

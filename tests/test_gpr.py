@@ -60,6 +60,8 @@ class TestKernel:
             SeKernelParams(lam=0.0, lengthscales=[1.0])
         with pytest.raises(ValueError):
             SeKernelParams(lam=1.0, lengthscales=[1.0, -1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            SeKernelParams(lam=1.0, lengthscales=[])
         params = SeKernelParams(lam=1.0, lengthscales=[1.0, 1.0])
         with pytest.raises(ValueError):
             se_kernel([0.0], [0.0, 0.0], params)
@@ -609,6 +611,12 @@ class TestSerialization:
         ("q1,e1\n0.1,0.2\n0.3\n", ":3: 1 values for 2 columns"),
         ("q1,e1\n0.1,0.2,0.3\n", ":2: 3 values for 2 columns"),
         ("# noise_std=nan\nq1,e1\n0.1,0.2\n", "noise_std must be nonnegative"),
+        # input columns must come in save_dataset_csv's order, which the GP's inputs keep
+        ("dq1,q1,e1\n0.1,0.2,0.3\n", ":1: columns dq1,q1,e1 are not in the order q1,dq1,e1"),
+        ("q1,q1,e1\n0.1,0.2,0.3\n", ":1: columns q1,q1,e1 are not in the order q1,q2,e1"),
+        ("e1,q1\n0.1,0.2\n", ":1: columns e1,q1 are not in the order q1,e1"),
+        ("# noise_std=0\nq2,q1,e1\n0.1,0.2,0.3\n",
+         ":2: columns q2,q1,e1 are not in the order q1,q2,e1"),
     ])
     def test_load_names_the_bad_line(self, tmp_path, text, message):
         path = tmp_path / "ds.csv"
@@ -636,6 +644,16 @@ class TestSerialization:
         (lambda text: text.replace("output1.lambda=1", "output1.lambda=one"),
          ":5: output1.lambda is not a number: 'one'"),
         (lambda text: text + "stray\n", ":15: expected key=value"),
+        # blank and comment lines are skipped but still counted
+        (lambda text: "# fitted\n\n" + text + "stray\n", ":17: expected key=value"),
+        (lambda text: "# fitted\n\n" + text + "n_outputs=1\n", ":17: duplicate key 'n_outputs'"),
+        (lambda text: text + "bogus=3\n", ":15: unknown key 'bogus'"),
+        (lambda text: text.replace("input_dim=3", "input_dim=1"),
+         ":7: unknown key 'output1.lengthscale2'"),
+        (lambda text: text.replace("n_outputs=2", "n_outputs=1"),
+         ":10: unknown key 'output2.lambda'"),
+        (lambda text: text.replace("input_dim=3", "input_dim=0"), ":3: input_dim must be >= 1"),
+        (lambda text: text.replace("n_outputs=2", "n_outputs=0"), ":1: n_outputs must be >= 1"),
     ])
     def test_model_txt_names_the_bad_line(self, tmp_path, edit, message):
         ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)

@@ -151,6 +151,10 @@ class TestConfigIo:
             ExperimentConfig(eval_seeds=())
         with pytest.raises(ValueError):
             ExperimentConfig(rho_scaling="linear")
+        with pytest.raises(ValueError, match="eval_seeds must not repeat"):
+            ExperimentConfig(eval_seeds=(3, 3), controllers=("nominal",))
+        with pytest.raises(ValueError, match="controllers must not repeat"):
+            ExperimentConfig(controllers=("gp", "true", "gp"))
 
     @pytest.mark.parametrize("field, value", [("eval_seeds", (0, -1)),
                                               ("training_seed", -1)])
