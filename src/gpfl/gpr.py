@@ -461,10 +461,8 @@ def load_dataset_csv(path) -> GpDataset:
                 continue
             if header is None:
                 header = [name.strip() for name in line.split(",")]
-                for name in header:
-                    if not re.fullmatch(r"(q|dq|ddq|e)\d+", name):
-                        raise ValueError(f"{path}:{lineno}: unknown column {name!r}")
-                # the order save_dataset_csv writes, which fixes the GP's input order
+                # only the names, in the order, that save_dataset_csv writes: the
+                # column order is the GP's input order
                 counts = Counter(name.rstrip("0123456789") for name in header)
                 expected = [f"{kind}{k}" for kind in ("q", "dq", "ddq", "e")
                             for k in range(1, counts[kind] + 1)]
