@@ -122,6 +122,8 @@ def _cmd_experiment(config: ExperimentConfig) -> int:
 
 
 def _cmd_validate(config: ExperimentConfig, seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     checks = validate(config, seed=seed)
     n_failed = 0
     for name, passed, detail in checks:

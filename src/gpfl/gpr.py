@@ -28,7 +28,7 @@ RHO_SCALINGS = ("sigma", "variance")
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
 
-_trtrs = scipy.linalg.get_lapack_funcs("trtrs", dtype=np.float64)
+_trtrs, _potri = scipy.linalg.get_lapack_funcs(("trtrs", "potri"), dtype=np.float64)
 
 
 class IllConditionedDatasetError(RuntimeError):
@@ -199,11 +199,12 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float):
     1e-4*lam so silent degradation is impossible.
     """
     n = K.shape[0]
-    eye = np.eye(n)
     jitter = BASE_JITTER_FACTOR * lam
     while jitter <= MAX_JITTER_FACTOR * lam * (1.0 + 1e-9):
+        K_y = K.copy(order="F")
+        K_y.flat[::n + 1] += noise_var + jitter
         try:
-            L = scipy.linalg.cholesky(K + (noise_var + jitter) * eye, lower=True)
+            L = scipy.linalg.cholesky(K_y, lower=True, overwrite_a=True)
             return L, jitter
         except scipy.linalg.LinAlgError:
             jitter *= 10.0
@@ -215,10 +216,14 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
                   theta: np.ndarray):
     """Log marginal likelihood and gradient w.r.t. log(lam), log(lengthscales).
 
+    The gradient is GPML eq. 5.9, 0.5 tr(W dK_y/dtheta) with
+    W = alpha alpha^T - K_y^{-1}.  With WK = W o K, dK/dlog(lam) = K gives
+    0.5 sum(WK), and dK/dlog(l_d) = 2 K o D_d / l_d^2 (D_d the squared
+    differences along d) gives sum(WK o D_d) / l_d^2, all d in one product.
     The diagonal jitter scales with lam, so d(jitter)/d(log lam) = jitter is
     included to keep the gradient exact for the objective as implemented.
     """
-    n = sq_diffs.shape[0]
+    n, _, dim = sq_diffs.shape
     lam = np.exp(theta[0])
     ls = np.exp(theta[1:])
     K = _se(sq_diffs, lam, ls)
@@ -227,13 +232,21 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     lml = (-0.5 * float(y @ alpha)
            - float(np.log(np.diag(L)).sum())
            - 0.5 * n * np.log(2.0 * np.pi))
-    a_inv = scipy.linalg.cho_solve((L, True), np.eye(n))
-    w = np.outer(alpha, alpha) - a_inv
+    # potri writes K_y^{-1} into the lower triangle and leaves the upper one
+    # as in L, all zeros, so one transposed sum mirrors it (doubling the
+    # diagonal, which is then put back)
+    inv, info = _potri(L, lower=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"potri failed with info {info}")
+    a_inv = inv + inv.T
+    np.fill_diagonal(a_inv, np.diagonal(inv))
+    WK = np.outer(alpha, alpha)
+    WK -= a_inv
+    trace_w = float(np.trace(WK))
+    WK *= K
     grad = np.empty_like(theta)
-    grad[0] = 0.5 * (np.sum(w * K) + jitter * np.trace(w))
-    for d in range(len(ls)):
-        dk = K * (2.0 * sq_diffs[:, :, d] / ls[d] ** 2)
-        grad[1 + d] = 0.5 * np.sum(w * dk)
+    grad[0] = 0.5 * (WK.sum() + jitter * trace_w)
+    grad[1:] = WK.reshape(-1) @ sq_diffs.reshape(n * n, dim) / ls ** 2
     return lml, grad
 
 
@@ -512,31 +525,36 @@ def load_model_txt(path):
     """Parse a key-value export; returns (params_per_output, metadata dict).
 
     Every key must be one save_model_txt writes for the file's n_outputs and
-    input_dim; any other key is an error naming its line.
+    input_dim; any other key, and any count below 1 or negative or non-finite
+    noise level or jitter, is an error naming its line.
     """
     pairs = read_pairs(path)
 
-    def need(key, kind=float):
+    def need(key, kind=float, minimum=None):
         if key not in pairs:
             raise ValueError(f"{path}: missing key {key!r}")
         lineno, raw = pairs[key]
-        return _number(path, lineno, key, raw, kind)
+        value = _number(path, lineno, key, raw, kind)
+        if minimum is not None and not minimum <= value < np.inf:
+            rule = f">= {minimum}" if kind is int else f"finite and >= {minimum}"
+            raise ValueError(f"{path}:{lineno}: {key} must be {rule}, got {raw}")
+        return value
 
-    n_outputs = need("n_outputs", int)
-    input_dim = need("input_dim", int)
-    for key, value in (("n_outputs", n_outputs), ("input_dim", input_dim)):
-        if value < 1:
-            raise ValueError(f"{path}:{pairs[key][0]}: {key} must be >= 1, got {value}")
+    n_outputs = need("n_outputs", int, minimum=1)
+    input_dim = need("input_dim", int, minimum=1)
     for key, (lineno, _) in pairs.items():
         output = _OUTPUT_KEY.fullmatch(key)
         known = key in _MODEL_KEYS or (output is not None and int(output[1]) <= n_outputs
                                        and int(output[2] or 1) <= input_dim)
         if not known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+    need("n_samples", int, minimum=1)
+    need("noise_std", minimum=0)
     params = []
     for i in range(1, n_outputs + 1):
         lam = need(f"output{i}.lambda")
         ls = np.array([need(f"output{i}.lengthscale{d}")
                        for d in range(1, input_dim + 1)])
+        need(f"output{i}.jitter", minimum=0)
         params.append(SeKernelParams(lam=lam, lengthscales=ls))
     return params, {key: raw for key, (_, raw) in pairs.items()}

@@ -114,6 +114,33 @@ def gp_posterior_dense(X, y, x_star, lam, lengthscales, noise_var, jitter=0.0):
     return mean, var
 
 
+def lml_grad_reference(X, y, lam, lengthscales, noise_var, jitter):
+    """Gradient of the GP log marginal likelihood by dense inversion.
+
+    Returns d/d log(lam) followed by d/d log(ell_d) for each input dimension,
+    0.5 tr((alpha alpha^T - A^-1) dA/dtheta) with A = K + (noise_var +
+    jitter) I (GPML eq. 5.9).  The jitter is taken as proportional to lam,
+    so dA/d log(lam) = K + jitter I.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ell = np.asarray(lengthscales, dtype=float)
+    n, dim = X.shape
+    K = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            K[i, j] = lam * np.exp(-np.sum((X[i] - X[j]) ** 2 / ell ** 2))
+    A_inv = np.linalg.inv(K + (noise_var + jitter) * np.eye(n))
+    alpha = A_inv @ y
+    W = np.outer(alpha, alpha) - A_inv
+    grad = np.empty(dim + 1)
+    grad[0] = 0.5 * np.trace(W @ (K + jitter * np.eye(n)))
+    for d in range(dim):
+        dK = K * 2.0 * (X[:, d, None] - X[None, :, d]) ** 2 / ell[d] ** 2
+        grad[1 + d] = 0.5 * np.trace(W @ dK)
+    return grad
+
+
 def predict_reference(model, x):
     """GP posterior mean and variance per output at one query, solved with
     `scipy.linalg.solve_triangular` and its default input checks.

@@ -24,6 +24,12 @@ class TestValidateCommand:
     def test_seed_flag_accepted(self):
         assert main(["validate", "--seed", "3"]) == 0
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["validate", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gpfl: --seed must be >= 0, got -1\n"
+
 
 class TestRunCommand:
     def test_writes_trace(self, tmp_path, capsys):

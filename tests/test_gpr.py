@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, BoundParams,
                       rho_from_mean_var, save_dataset_csv, save_model_txt,
                       se_kernel, stable_cholesky)
 from oracles import (TwoLinkOracle, gp_posterior_dense, info_gain_exhaustive,
-                     predict_reference)
+                     lml_grad_reference, predict_reference)
 
 
 def _random_dataset(rng, n=20, dim=3, n_outputs=2, noise_std=0.3):
@@ -345,6 +346,48 @@ class TestGpModelValidation:
         assert _outcome(predict, copy, x) == _outcome(predict, model, x)
 
 
+def _lml_problem(seed, n, dim, noise_std):
+    """Inputs, one output, its noise variance and a theta around the data scale."""
+    rng = np.random.default_rng(seed)
+    ds = _random_dataset(rng, n=n, dim=dim, n_outputs=1, noise_std=noise_std)
+    theta = np.concatenate([[rng.uniform(-1.0, 2.0)], rng.uniform(-1.0, 1.0, dim)])
+    return ds.inputs, ds.targets[:, 0], noise_std ** 2, theta
+
+
+LML_PROBLEMS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 60),
+                    dim=st.integers(1, 6), noise_std=st.floats(0.05, 0.5))
+
+
+class TestLmlGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(**LML_PROBLEMS)
+    def test_matches_dense_reference(self, seed, n, dim, noise_std):
+        X, y, noise_var, theta = _lml_problem(seed, n, dim, noise_std)
+        _, grad = gpr._lml_and_grad(gpr._pairwise_sq_diffs(X), y, noise_var, theta)
+        lam = np.exp(theta[0])
+        # noise_var >= 0.0025 keeps K_y well conditioned: the jitter ladder
+        # never leaves its first rung
+        ref = lml_grad_reference(X, y, lam, np.exp(theta[1:]), noise_var,
+                                 BASE_JITTER_FACTOR * lam)
+        np.testing.assert_allclose(grad, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(**LML_PROBLEMS)
+    def test_matches_central_differences_of_the_lml(self, seed, n, dim, noise_std):
+        X, y, noise_var, theta = _lml_problem(seed, n, dim, noise_std)
+        sq_diffs = gpr._pairwise_sq_diffs(X)
+        _, grad = gpr._lml_and_grad(sq_diffs, y, noise_var, theta)
+        h = 1e-5
+        numeric = np.empty_like(grad)
+        for k in range(theta.size):
+            step = np.zeros_like(theta)
+            step[k] = h
+            lml_up, _ = gpr._lml_and_grad(sq_diffs, y, noise_var, theta + step)
+            lml_down, _ = gpr._lml_and_grad(sq_diffs, y, noise_var, theta - step)
+            numeric[k] = (lml_up - lml_down) / (2.0 * h)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-5 * np.abs(grad).max())
+
+
 class TestFit:
     def test_fit_never_below_init(self):
         rng = np.random.default_rng(2)
@@ -625,8 +668,9 @@ class TestSerialization:
             load_dataset_csv(path)
         assert message in str(exc.value)
 
-    @pytest.mark.parametrize("key", ["n_outputs", "input_dim", "output2.lambda",
-                                     "output1.lengthscale3"])
+    @pytest.mark.parametrize("key", ["n_outputs", "input_dim", "n_samples", "noise_std",
+                                     "output2.lambda", "output1.lengthscale3",
+                                     "output2.jitter"])
     def test_model_txt_missing_key_names_it(self, tmp_path, key):
         ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)
         params = SeKernelParams(lam=1.0, lengthscales=[0.5, 1.0, 2.0])
@@ -654,6 +698,20 @@ class TestSerialization:
          ":10: unknown key 'output2.lambda'"),
         (lambda text: text.replace("input_dim=3", "input_dim=0"), ":3: input_dim must be >= 1"),
         (lambda text: text.replace("n_outputs=2", "n_outputs=0"), ":1: n_outputs must be >= 1"),
+        (lambda text: text.replace("n_samples=5", "n_samples=-5"),
+         ":2: n_samples must be >= 1, got -5"),
+        (lambda text: text.replace("n_samples=5", "n_samples=5.0"),
+         ":2: n_samples is not a number: '5.0'"),
+        (lambda text: re.sub("noise_std=.*", "noise_std=abc", text),
+         ":4: noise_std is not a number: 'abc'"),
+        (lambda text: re.sub("noise_std=.*", "noise_std=-0.1", text),
+         ":4: noise_std must be finite and >= 0, got -0.1"),
+        (lambda text: re.sub("noise_std=.*", "noise_std=inf", text),
+         ":4: noise_std must be finite and >= 0, got inf"),
+        (lambda text: text.replace("output1.jitter=1e-10", "output1.jitter=xyz"),
+         ":9: output1.jitter is not a number: 'xyz'"),
+        (lambda text: text.replace("output2.jitter=1e-10", "output2.jitter=nan"),
+         ":14: output2.jitter must be finite and >= 0, got nan"),
     ])
     def test_model_txt_names_the_bad_line(self, tmp_path, edit, message):
         ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)
