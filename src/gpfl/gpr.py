@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .textio import FLOAT, read_pairs, write_table
 
@@ -168,9 +167,14 @@ def _pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
     return (X[:, None, :] - X[None, :, :]) ** 2
 
 
-def _se(sq_diffs: np.ndarray, lam, lengthscales: np.ndarray) -> np.ndarray:
-    """The one SE-ARD kernel formula, over per-dimension squared differences."""
-    return lam * np.exp(-(sq_diffs @ (1.0 / lengthscales ** 2)))
+def _se(sq_diffs: np.ndarray, lam, lengthscales: np.ndarray, out=None) -> np.ndarray:
+    """The one SE-ARD kernel formula, over per-dimension squared differences.
+
+    With `out` every step writes into it, so no temporary of the result's
+    shape is made.  Negating the weights instead of the product is exact.
+    """
+    k = np.matmul(sq_diffs, -1.0 / lengthscales ** 2, out=out)
+    return np.multiply(lam, np.exp(k, out=out), out=out)
 
 
 def se_kernel(x, y, params: SeKernelParams) -> float:
@@ -192,16 +196,19 @@ def mismatch_target(nominal, q, dq, ddq, tau) -> np.ndarray:
     return np.asarray(tau, dtype=float) - nominal.torque(q, dq, ddq)
 
 
-def stable_cholesky(K: np.ndarray, lam: float, noise_var: float):
+def stable_cholesky(K: np.ndarray, lam: float, noise_var: float, out=None):
     """Lower Cholesky of K + (noise_var + jitter) I.
 
     Jitter starts at 1e-10*lam and escalates tenfold on failure, capped at
-    1e-4*lam so silent degradation is impossible.
+    1e-4*lam so silent degradation is impossible.  Each attempt copies K
+    into `out`, a Fortran-ordered (n, n) buffer (a new one if None), and
+    factors it in place, so the returned factor is `out`.
     """
     n = K.shape[0]
+    K_y = np.empty((n, n), order="F") if out is None else out
     jitter = BASE_JITTER_FACTOR * lam
     while jitter <= MAX_JITTER_FACTOR * lam * (1.0 + 1e-9):
-        K_y = K.copy(order="F")
+        K_y[...] = K
         K_y.flat[::n + 1] += noise_var + jitter
         try:
             L = scipy.linalg.cholesky(K_y, lower=True, overwrite_a=True)
@@ -212,8 +219,14 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float):
         f"kernel matrix not positive definite even with jitter {MAX_JITTER_FACTOR:g}*lam")
 
 
+def _lml_workspace(n: int):
+    """The three (n, n) arrays one `_lml_and_grad` call writes into: K, the
+    Fortran-ordered factor (then K_y^{-1}), and W o K."""
+    return np.empty((n, n)), np.empty((n, n), order="F"), np.empty((n, n))
+
+
 def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
-                  theta: np.ndarray):
+                  theta: np.ndarray, work):
     """Log marginal likelihood and gradient w.r.t. log(lam), log(lengthscales).
 
     The gradient is GPML eq. 5.9, 0.5 tr(W dK_y/dtheta) with
@@ -222,26 +235,29 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     differences along d) gives sum(WK o D_d) / l_d^2, all d in one product.
     The diagonal jitter scales with lam, so d(jitter)/d(log lam) = jitter is
     included to keep the gradient exact for the objective as implemented.
+    `work` is an `_lml_workspace(n)`; every (n, n) result is written into
+    it, so a caller that evaluates many thetas allocates it once.
     """
     n, _, dim = sq_diffs.shape
+    K_buf, L_buf, WK_buf = work
     lam = np.exp(theta[0])
     ls = np.exp(theta[1:])
-    K = _se(sq_diffs, lam, ls)
-    L, jitter = stable_cholesky(K, lam, noise_var)
+    K = _se(sq_diffs, lam, ls, out=K_buf)
+    L, jitter = stable_cholesky(K, lam, noise_var, out=L_buf)
     alpha = scipy.linalg.cho_solve((L, True), y)
     lml = (-0.5 * float(y @ alpha)
            - float(np.log(np.diag(L)).sum())
            - 0.5 * n * np.log(2.0 * np.pi))
-    # potri writes K_y^{-1} into the lower triangle and leaves the upper one
+    # potri writes K_y^{-1} over L's lower triangle and leaves the upper one
     # as in L, all zeros, so one transposed sum mirrors it (doubling the
     # diagonal, which is then put back)
-    inv, info = _potri(L, lower=1)
+    inv, info = _potri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise scipy.linalg.LinAlgError(f"potri failed with info {info}")
-    a_inv = inv + inv.T
+    a_inv = np.add(inv, inv.T, out=WK_buf)
     np.fill_diagonal(a_inv, np.diagonal(inv))
-    WK = np.outer(alpha, alpha)
-    WK -= a_inv
+    # K_y^{-1} is mirrored, so its buffer takes alpha alpha^T
+    WK = np.subtract(np.outer(alpha, alpha, out=inv), a_inv, out=WK_buf)
     trace_w = float(np.trace(WK))
     WK *= K
     grad = np.empty_like(theta)
@@ -256,7 +272,8 @@ def log_marginal_likelihood(dataset: GpDataset, params: SeKernelParams,
     sq_diffs = _pairwise_sq_diffs(dataset.inputs)
     theta = np.concatenate([[np.log(params.lam)], np.log(params.lengthscales)])
     lml, _ = _lml_and_grad(sq_diffs, dataset.targets[:, output_index],
-                           dataset.noise_std ** 2, theta)
+                           dataset.noise_std ** 2, theta,
+                           _lml_workspace(dataset.n_samples))
     return lml
 
 
@@ -273,8 +290,12 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     """Fit per-output hyperparameters by multi-start L-BFGS on the LML.
 
     The initialization is always evaluated and kept as the fallback, so the
-    returned parameters never have a lower LML than `init`.
+    returned parameters never have a lower LML than `init`.  Every LML
+    evaluation reuses one workspace.  scipy.optimize is imported here, so
+    runs that never fit do not load it.
     """
+    import scipy.optimize
+
     if dataset.n_samples < 2:
         raise ValueError("need at least two samples to fit")
     if init.lengthscales.shape != (dataset.input_dim,):
@@ -282,6 +303,7 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     sq_diffs = _pairwise_sq_diffs(dataset.inputs)
+    work = _lml_workspace(dataset.n_samples)
     noise_var = dataset.noise_std ** 2
     rng = np.random.default_rng(seed)
     theta0 = np.concatenate([[np.log(init.lam)], np.log(init.lengthscales)])
@@ -296,7 +318,7 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
 
         def objective(theta):
             try:
-                lml, grad = _lml_and_grad(sq_diffs, y, noise_var, theta)
+                lml, grad = _lml_and_grad(sq_diffs, y, noise_var, theta, work)
             except IllConditionedDatasetError:
                 return 1e25, np.zeros_like(theta)
             return -lml, -grad
@@ -525,36 +547,39 @@ def load_model_txt(path):
     """Parse a key-value export; returns (params_per_output, metadata dict).
 
     Every key must be one save_model_txt writes for the file's n_outputs and
-    input_dim; any other key, and any count below 1 or negative or non-finite
-    noise level or jitter, is an error naming its line.
+    input_dim; any other key, any count below 1, any negative or non-finite
+    noise level or jitter, and any lambda or lengthscale that is not finite
+    and > 0 is an error naming its line.
     """
     pairs = read_pairs(path)
 
-    def need(key, kind=float, minimum=None):
+    def need(key, minimum, kind=float, strict=False):
         if key not in pairs:
             raise ValueError(f"{path}: missing key {key!r}")
         lineno, raw = pairs[key]
         value = _number(path, lineno, key, raw, kind)
-        if minimum is not None and not minimum <= value < np.inf:
-            rule = f">= {minimum}" if kind is int else f"finite and >= {minimum}"
+        if not ((minimum < value if strict else minimum <= value) and value < np.inf):
+            rule = f"{'>' if strict else '>='} {minimum}"
+            if kind is float:
+                rule = f"finite and {rule}"
             raise ValueError(f"{path}:{lineno}: {key} must be {rule}, got {raw}")
         return value
 
-    n_outputs = need("n_outputs", int, minimum=1)
-    input_dim = need("input_dim", int, minimum=1)
+    n_outputs = need("n_outputs", 1, int)
+    input_dim = need("input_dim", 1, int)
     for key, (lineno, _) in pairs.items():
         output = _OUTPUT_KEY.fullmatch(key)
         known = key in _MODEL_KEYS or (output is not None and int(output[1]) <= n_outputs
                                        and int(output[2] or 1) <= input_dim)
         if not known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    need("n_samples", int, minimum=1)
-    need("noise_std", minimum=0)
+    need("n_samples", 1, int)
+    need("noise_std", 0)
     params = []
     for i in range(1, n_outputs + 1):
-        lam = need(f"output{i}.lambda")
-        ls = np.array([need(f"output{i}.lengthscale{d}")
+        lam = need(f"output{i}.lambda", 0, strict=True)
+        ls = np.array([need(f"output{i}.lengthscale{d}", 0, strict=True)
                        for d in range(1, input_dim + 1)])
-        need(f"output{i}.jitter", minimum=0)
+        need(f"output{i}.jitter", 0)
         params.append(SeKernelParams(lam=lam, lengthscales=ls))
     return params, {key: raw for key, (_, raw) in pairs.items()}

@@ -141,6 +141,47 @@ def lml_grad_reference(X, y, lam, lengthscales, noise_var, jitter):
     return grad
 
 
+def lml_and_grad_reference(sq_diffs, y, noise_var, theta):
+    """`gpr._lml_and_grad` operation for operation, on fresh arrays.
+
+    Same kernel formula, jitter ladder (1e-10*lam, tenfold up to 1e-4*lam),
+    Cholesky, `potri` inverse and products, each result in a newly allocated
+    array, so an implementation that writes into reused buffers must agree
+    bit for bit.  Raises `LinAlgError` when the ladder is exhausted.
+    """
+    n, _, dim = sq_diffs.shape
+    lam = np.exp(theta[0])
+    ls = np.exp(theta[1:])
+    K = lam * np.exp(-(sq_diffs @ (1.0 / ls ** 2)))
+    jitter = 1e-10 * lam
+    while True:
+        if jitter > 1e-4 * lam * (1.0 + 1e-9):
+            raise np.linalg.LinAlgError("jitter ladder exhausted")
+        K_y = K.copy(order="F")
+        K_y.flat[::n + 1] += noise_var + jitter
+        try:
+            L = scipy.linalg.cholesky(K_y, lower=True, overwrite_a=True)
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    alpha = scipy.linalg.cho_solve((L, True), y)
+    lml = (-0.5 * float(y @ alpha)
+           - float(np.log(np.diag(L)).sum())
+           - 0.5 * n * np.log(2.0 * np.pi))
+    inv, info = scipy.linalg.lapack.dpotri(L, lower=1)
+    assert info == 0
+    a_inv = inv + inv.T
+    np.fill_diagonal(a_inv, np.diagonal(inv))
+    WK = np.outer(alpha, alpha)
+    WK -= a_inv
+    trace_w = float(np.trace(WK))
+    WK *= K
+    grad = np.empty_like(theta)
+    grad[0] = 0.5 * (WK.sum() + jitter * trace_w)
+    grad[1:] = WK.reshape(-1) @ sq_diffs.reshape(n * n, dim) / ls ** 2
+    return lml, grad
+
+
 def predict_reference(model, x):
     """GP posterior mean and variance per output at one query, solved with
     `scipy.linalg.solve_triangular` and its default input checks.

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, BoundParams,
                       rho_from_mean_var, save_dataset_csv, save_model_txt,
                       se_kernel, stable_cholesky)
 from oracles import (TwoLinkOracle, gp_posterior_dense, info_gain_exhaustive,
-                     lml_grad_reference, predict_reference)
+                     lml_and_grad_reference, lml_grad_reference, predict_reference)
 
 
 def _random_dataset(rng, n=20, dim=3, n_outputs=2, noise_std=0.3):
@@ -95,7 +97,7 @@ class TestOneKernelFormula:
         with pytest.MonkeyPatch.context() as mp:
             seen = _recording(mp, gpr, "stable_cholesky", 0)
             gpr._lml_and_grad(gpr._pairwise_sq_diffs(ds.inputs), ds.targets[:, 0],
-                              ds.noise_std ** 2, theta)
+                              ds.noise_std ** 2, theta, gpr._lml_workspace(n))
             model_from_params(ds, [params])
         (K_lml, (_, jitter_lml)), (K_model, (_, jitter_model)) = seen
         np.testing.assert_array_equal(K_model, K_lml)
@@ -363,7 +365,8 @@ class TestLmlGradient:
     @given(**LML_PROBLEMS)
     def test_matches_dense_reference(self, seed, n, dim, noise_std):
         X, y, noise_var, theta = _lml_problem(seed, n, dim, noise_std)
-        _, grad = gpr._lml_and_grad(gpr._pairwise_sq_diffs(X), y, noise_var, theta)
+        _, grad = gpr._lml_and_grad(gpr._pairwise_sq_diffs(X), y, noise_var, theta,
+                                    gpr._lml_workspace(n))
         lam = np.exp(theta[0])
         # noise_var >= 0.0025 keeps K_y well conditioned: the jitter ladder
         # never leaves its first rung
@@ -376,16 +379,109 @@ class TestLmlGradient:
     def test_matches_central_differences_of_the_lml(self, seed, n, dim, noise_std):
         X, y, noise_var, theta = _lml_problem(seed, n, dim, noise_std)
         sq_diffs = gpr._pairwise_sq_diffs(X)
-        _, grad = gpr._lml_and_grad(sq_diffs, y, noise_var, theta)
+        work = gpr._lml_workspace(n)
+        _, grad = gpr._lml_and_grad(sq_diffs, y, noise_var, theta, work)
         h = 1e-5
         numeric = np.empty_like(grad)
         for k in range(theta.size):
             step = np.zeros_like(theta)
             step[k] = h
-            lml_up, _ = gpr._lml_and_grad(sq_diffs, y, noise_var, theta + step)
-            lml_down, _ = gpr._lml_and_grad(sq_diffs, y, noise_var, theta - step)
+            lml_up, _ = gpr._lml_and_grad(sq_diffs, y, noise_var, theta + step, work)
+            lml_down, _ = gpr._lml_and_grad(sq_diffs, y, noise_var, theta - step, work)
             numeric[k] = (lml_up - lml_down) / (2.0 * h)
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-5 * np.abs(grad).max())
+
+
+def _near_indefinite_sq_diffs(rng, n, eps=3e-8):
+    """Crafted (n, n, 1) "squared differences" (some negative, so no inputs
+    have them) whose SE kernel at lengthscale l is lam * M**(1/l^2)
+    elementwise, M = J - eps v v^T with v a unit vector orthogonal to ones.
+
+    K_y's smallest eigenvalue is about -eps * lam / l^2, so with no noise
+    l = 1 climbs the jitter ladder to 1e-7 * lam, l = 0.01 exhausts it and
+    l = 100 stays on its first rung.
+    """
+    v = rng.normal(size=n)
+    v -= v.mean()
+    v /= np.linalg.norm(v)
+    return -np.log(1.0 - eps * np.outer(v, v))[:, :, None]
+
+
+LADDER_LOG_LENGTHSCALES = {"climb": 0.0, "ill": np.log(0.01), "first": np.log(100.0)}
+
+
+class TestLmlWorkspace:
+    """`fit` evaluates every theta on one workspace; reuse must change nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 60), dim=st.integers(1, 6),
+           noise_std=st.floats(0.0, 0.5), n_thetas=st.integers(1, 6))
+    def test_theta_sequence_equals_fresh_arrays(self, seed, n, dim, noise_std, n_thetas):
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, n=n, dim=dim, n_outputs=1, noise_std=noise_std)
+        sq_diffs = gpr._pairwise_sq_diffs(ds.inputs)
+        y = ds.targets[:, 0]
+        work = gpr._lml_workspace(n)
+        for _ in range(n_thetas):
+            theta = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.uniform(-1.5, 2.5, dim)])
+            lml, grad = gpr._lml_and_grad(sq_diffs, y, noise_std ** 2, theta, work)
+            ref_lml, ref_grad = lml_and_grad_reference(sq_diffs, y, noise_std ** 2, theta)
+            assert lml == ref_lml
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 30),
+           kinds=st.lists(st.sampled_from(sorted(LADDER_LOG_LENGTHSCALES)), max_size=6))
+    def test_jitter_ladder_and_failures_leave_no_trace(self, seed, n, kinds):
+        rng = np.random.default_rng(seed)
+        sq_diffs = _near_indefinite_sq_diffs(rng, n)
+        y = rng.normal(size=n)
+        work = gpr._lml_workspace(n)
+        # a failure is always followed by a successful call on the same workspace
+        for kind in ["ill", *kinds, "climb"]:
+            theta = np.array([rng.uniform(-3.0, 3.0), LADDER_LOG_LENGTHSCALES[kind]])
+            lam = np.exp(theta[0])
+            if kind == "ill":
+                with pytest.raises(IllConditionedDatasetError):
+                    gpr._lml_and_grad(sq_diffs, y, 0.0, theta, work)
+                with pytest.raises(np.linalg.LinAlgError):
+                    lml_and_grad_reference(sq_diffs, y, 0.0, theta)
+                continue
+            _, jitter = stable_cholesky(gpr._se(sq_diffs, lam, np.exp(theta[1:])), lam, 0.0)
+            assert (jitter > BASE_JITTER_FACTOR * lam) == (kind == "climb")
+            lml, grad = gpr._lml_and_grad(sq_diffs, y, 0.0, theta, work)
+            ref_lml, ref_grad = lml_and_grad_reference(sq_diffs, y, 0.0, theta)
+            assert lml == ref_lml
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_fit_factors_equal_a_fresh_model_and_share_no_memory(self):
+        rng = np.random.default_rng(11)
+        ds = _random_dataset(rng, n=40, dim=3, n_outputs=3, noise_std=0.2)
+        model = fit(ds, default_init_params(ds), n_starts=2, max_iter=30)
+        fresh = model_from_params(ds, model.params)
+        for L, L_ref, alpha, alpha_ref in zip(model.chols, fresh.chols,
+                                              model.alphas, fresh.alphas):
+            np.testing.assert_array_equal(L, L_ref)
+            np.testing.assert_array_equal(alpha, alpha_ref)
+        assert model.jitters == fresh.jitters
+        for L_a, L_b in itertools.combinations(model.chols, 2):
+            assert not np.shares_memory(L_a, L_b)
+
+    def test_warm_call_allocates_less_than_one_kernel_matrix(self):
+        n = 200
+        ds = _random_dataset(np.random.default_rng(12), n=n, dim=6, n_outputs=1)
+        sq_diffs = gpr._pairwise_sq_diffs(ds.inputs)
+        theta = np.concatenate([[0.0], np.zeros(6)])
+        work = gpr._lml_workspace(n)
+        args = (sq_diffs, ds.targets[:, 0], ds.noise_std ** 2, theta, work)
+        gpr._lml_and_grad(*args)
+        tracemalloc.start()
+        try:
+            gpr._lml_and_grad(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(float).itemsize, peak
 
 
 class TestFit:
@@ -712,6 +808,18 @@ class TestSerialization:
          ":9: output1.jitter is not a number: 'xyz'"),
         (lambda text: text.replace("output2.jitter=1e-10", "output2.jitter=nan"),
          ":14: output2.jitter must be finite and >= 0, got nan"),
+        (lambda text: text.replace("output1.lambda=1", "output1.lambda=-1"),
+         ":5: output1.lambda must be finite and > 0, got -1"),
+        (lambda text: text.replace("output1.lambda=1", "output1.lambda=0"),
+         ":5: output1.lambda must be finite and > 0, got 0"),
+        (lambda text: text.replace("output2.lambda=1", "output2.lambda=nan"),
+         ":10: output2.lambda must be finite and > 0, got nan"),
+        (lambda text: text.replace("output1.lengthscale2=1", "output1.lengthscale2=inf"),
+         ":7: output1.lengthscale2 must be finite and > 0, got inf"),
+        (lambda text: text.replace("output2.lengthscale3=2", "output2.lengthscale3=0"),
+         ":13: output2.lengthscale3 must be finite and > 0, got 0"),
+        (lambda text: text.replace("output2.lengthscale1=0.5", "output2.lengthscale1=nan"),
+         ":11: output2.lengthscale1 must be finite and > 0, got nan"),
     ])
     def test_model_txt_names_the_bad_line(self, tmp_path, edit, message):
         ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)

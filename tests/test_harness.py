@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpfl
 from gpfl import gpr, harness
 from gpfl.config import ExperimentConfig, default_config, load_config, save_config
 from gpfl.dynamics import RunTrace
@@ -362,3 +368,28 @@ class TestValidate:
         assert "lyapunov_residual" in names
         for name, passed, detail in checks:
             assert passed, f"{name}: {detail}"
+
+
+def test_runs_that_never_fit_do_not_load_scipy_optimize():
+    # a fresh interpreter: this one has loaded scipy.optimize long ago
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import gpfl
+        config = gpfl.ExperimentConfig(duration=0.5)
+        assert gpfl.run_tracking(config, "true", 0).status == "ok"
+        print("scipy.optimize" in sys.modules)
+        rng = np.random.default_rng(0)
+        ds = gpfl.GpDataset(inputs=rng.normal(size=(10, 2)),
+                            targets=rng.normal(size=(10, 1)), noise_std=0.1)
+        model = gpfl.fit(ds, gpfl.SeKernelParams(lam=1.0, lengthscales=[1.0, 1.0]),
+                         n_starts=2, max_iter=5)
+        print("scipy.optimize" in sys.modules, model.n_outputs)
+    """)
+    src = str(Path(gpfl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "1"]
