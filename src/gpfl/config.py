@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import VARIANTS, GainSpec
-from .dynamics import ManipulatorModel, ScaledIdentityNominal
+from .dynamics import ManipulatorModel, ScaledIdentityNominal, tick_count
 from .gpr import RHO_SCALINGS, BoundParams
 from .textio import FLOAT, read_pairs
 
@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("training seed must be disjoint from evaluation seeds")
         if self.duration <= 0 or self.control_rate <= 0:
             raise ValueError("duration and control_rate must be positive")
+        # an empty tick grid fails only once a run or the training set is built
+        tick_count(self.duration, self.control_rate)
         if self.integrator_substeps < 1:
             raise ValueError("integrator_substeps must be >= 1")
         if self.gp_n_starts < 1:

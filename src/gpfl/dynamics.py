@@ -159,9 +159,30 @@ def gravity(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:
 
 
 def inverse_dynamics(model: ManipulatorModel, q, dq, ddq) -> np.ndarray:
-    """Torque realizing the motion (q, dq, ddq): M ddq + C dq + g."""
+    """Torque realizing the motion (q, dq, ddq): M ddq + C dq + g.
+
+    Computed on Python floats from the same closed-form terms as `_accel`;
+    `inertia`, `coriolis` and `gravity` are the matrix forms of those terms.
+    """
+    q = np.asarray(q, dtype=float)
+    dq = np.asarray(dq, dtype=float)
     ddq = np.asarray(ddq, dtype=float)
-    return inertia(model, q) @ ddq + coriolis(model, q, dq) @ np.asarray(dq, dtype=float) + gravity(model, q)
+    _check_dim(model, q)
+    _check_dim(model, dq)
+    _check_dim(model, ddq)
+    q1, q2 = q.tolist()
+    dq1, dq2 = dq.tolist()
+    ddq1, ddq2 = ddq.tolist()
+    a, b, c, g1c, g2c = model._coeffs
+    c2 = math.cos(q2)
+    h = b * math.sin(q2)
+    m11 = a + 2.0 * b * c2
+    m12 = c + b * c2
+    g12 = g2c * math.cos(q1 + q2)
+    # C(q, dq) dq = [-h (2 dq1 dq2 + dq2^2), h dq1^2]
+    return np.array([m11 * ddq1 + m12 * ddq2 - h * (2.0 * dq1 * dq2 + dq2 * dq2)
+                     + g1c * math.cos(q1) + g12,
+                     m12 * ddq1 + c * ddq2 + h * dq1 * dq1 + g12])
 
 
 def forward_dynamics(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
@@ -190,11 +211,20 @@ def total_energy(model: ManipulatorModel, q, dq) -> float:
     return kinetic_energy(model, q, dq) + potential_energy(model, q)
 
 
-def tick_times(duration: float, rate: float) -> np.ndarray:
-    """Control-tick start times t_k = k / rate, k = 0 .. round(duration * rate) - 1."""
+def tick_count(duration: float, rate: float) -> int:
+    """Number of control ticks, round(duration * rate); an empty grid is an error."""
     if duration <= 0 or rate <= 0:
         raise ValueError("duration and rate must be positive")
-    return np.arange(round(duration * rate)) / rate
+    n = round(duration * rate)
+    if n < 1:
+        raise ValueError(f"duration * rate = {duration!r} * {rate!r} rounds to "
+                         f"{n} control ticks; need at least 1")
+    return n
+
+
+def tick_times(duration: float, rate: float) -> np.ndarray:
+    """Control-tick start times t_k = k / rate, k = 0 .. tick_count(duration, rate) - 1."""
+    return np.arange(tick_count(duration, rate)) / rate
 
 
 def _check_dim(model: ManipulatorModel, v: np.ndarray) -> None:

@@ -21,6 +21,7 @@ from .textio import FLOAT, read_pairs, write_table
 
 BASE_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-4
+_JITTER_RUNGS = 7  # BASE_JITTER_FACTOR * 10**k for k = 0 .. 6 reaches MAX_JITTER_FACTOR
 VARIANCE_CLAMP = -1e-9
 RHO_SCALINGS = ("sigma", "variance")
 
@@ -200,14 +201,15 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float, out=None):
     """Lower Cholesky of K + (noise_var + jitter) I.
 
     Jitter starts at 1e-10*lam and escalates tenfold on failure, capped at
-    1e-4*lam so silent degradation is impossible.  Each attempt copies K
-    into `out`, a Fortran-ordered (n, n) buffer (a new one if None), and
-    factors it in place, so the returned factor is `out`.
+    1e-4*lam so silent degradation is impossible: at most seven attempts,
+    also when 1e-10*lam underflows to 0.  Each attempt copies K into `out`,
+    a Fortran-ordered (n, n) buffer (a new one if None), and factors it in
+    place, so the returned factor is `out`.
     """
     n = K.shape[0]
     K_y = np.empty((n, n), order="F") if out is None else out
     jitter = BASE_JITTER_FACTOR * lam
-    while jitter <= MAX_JITTER_FACTOR * lam * (1.0 + 1e-9):
+    for _ in range(_JITTER_RUNGS):
         K_y[...] = K
         K_y.flat[::n + 1] += noise_var + jitter
         try:

@@ -8,7 +8,7 @@ from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            SimulationAborted, TrueModelNominal, coriolis,
                            forward_dynamics, gravity, inertia,
                            inverse_dynamics, kinetic_energy, potential_energy,
-                           simulate, total_energy)
+                           simulate, tick_times, total_energy)
 from oracles import (TwoLinkOracle, finite_difference_inertia_rate,
                      rk4_step_vector)
 
@@ -21,6 +21,7 @@ ASYMMETRIC = ManipulatorModel(masses=(1.5, 0.8), lengths=(0.9, 0.7),
 
 angles = st.floats(-10.0, 10.0)
 rates = st.floats(-5.0, 5.0)
+accelerations = st.floats(-50.0, 50.0)
 
 
 def _state_pairs(rng, n):
@@ -112,6 +113,22 @@ class TestStructuralProperties:
         assert kinetic_energy(UNIT_RODS, np.array([q1, q2]),
                               np.array([dq1, dq2])) >= 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from([UNIT_RODS, ASYMMETRIC, ManipulatorModel()]),
+           q=st.tuples(angles, angles), dq=st.tuples(rates, rates),
+           ddq=st.tuples(accelerations, accelerations))
+    def test_inverse_dynamics_equals_matrix_forms(self, model, q, dq, ddq):
+        # the float kernel does not call inertia/coriolis/gravity, so tie it
+        # to them; the bound is relative to the terms' magnitudes, because
+        # the terms can cancel to a torque near zero
+        q, dq, ddq = np.array(q), np.array(dq), np.array(ddq)
+        M, C, g = inertia(model, q), coriolis(model, q, dq), gravity(model, q)
+        want = M @ ddq + C @ dq + g
+        scale = np.abs(M) @ np.abs(ddq) + np.abs(C) @ np.abs(dq) + np.abs(g)
+        got = inverse_dynamics(model, q, dq, ddq)
+        assert got.shape == (2,)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
     def test_forward_inverse_consistency(self):
         rng = np.random.default_rng(3)
         for q, dq in _state_pairs(rng, 30):
@@ -170,6 +187,13 @@ class TestRk4Kernel:
                                         np.array(tau), h)
         got = dynamics._rk4_step(model, *q, *dq, *tau, h)
         assert got == (*q_ref.tolist(), *dq_ref.tolist())
+
+
+class TestTickGrid:
+    @pytest.mark.parametrize("duration, rate", [(0.004, 100.0), (1.0, 0.4)])
+    def test_empty_grid_rejected(self, duration, rate):
+        with pytest.raises(ValueError, match="rounds to 0 control ticks"):
+            tick_times(duration, rate)
 
 
 class TestModelValidation:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -561,6 +562,25 @@ class TestStableCholesky:
     def test_raises_when_ladder_exhausted(self):
         with pytest.raises(IllConditionedDatasetError):
             stable_cholesky(-np.eye(3), 1.0, 0.0)
+
+    def test_ladder_stops_when_base_jitter_underflows(self, monkeypatch):
+        # 1e-10 * 1e-320 rounds to 0, so no rung adds anything to the
+        # singular K_y of two identical noiseless inputs
+        cholesky = scipy.linalg.cholesky
+        attempts = []
+
+        def counting_cholesky(*args, **kwargs):
+            attempts.append(1)
+            if len(attempts) > 50:
+                pytest.fail("jitter ladder still climbing after 50 attempts")
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", counting_cholesky)
+        dataset = GpDataset(inputs=np.zeros((2, 1)), targets=np.zeros((2, 1)),
+                            noise_std=0.0)
+        with pytest.raises(IllConditionedDatasetError):
+            model_from_params(dataset, [SeKernelParams(lam=1e-320, lengthscales=[1.0])])
+        assert len(attempts) == 7
 
 
 class TestRho:
