@@ -215,7 +215,10 @@ def tick_count(duration: float, rate: float) -> int:
     """Number of control ticks, round(duration * rate); an empty grid is an error."""
     if duration <= 0 or rate <= 0:
         raise ValueError("duration and rate must be positive")
-    n = round(duration * rate)
+    ticks = duration * rate
+    if not math.isfinite(ticks):
+        raise ValueError(f"duration * rate = {duration!r} * {rate!r} is not finite")
+    n = round(ticks)
     if n < 1:
         raise ValueError(f"duration * rate = {duration!r} * {rate!r} rounds to "
                          f"{n} control ticks; need at least 1")

@@ -93,8 +93,8 @@ class TestTrainCommand:
         # checked by the factories the config builds its parts with
         "beta = -1", "kp = 0", "kd = -1", "nominal_scale = 0",
         "m1 = 0", "l2 = -1", "r1 = 0", "i2 = -0.1",
-        # round(0.004 * 100) = 0 control ticks
-        "duration = 0.004"])
+        # round(0.004 * 100) = 0 control ticks; 50 * 1e308 overflows
+        "duration = 0.004", "control_rate = 1e308"])
     def test_bad_config_rejected_before_any_output(self, tmp_path, capsys, line):
         path = tmp_path / "config.txt"
         out = tmp_path / "results"

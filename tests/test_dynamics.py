@@ -190,9 +190,12 @@ class TestRk4Kernel:
 
 
 class TestTickGrid:
-    @pytest.mark.parametrize("duration, rate", [(0.004, 100.0), (1.0, 0.4)])
-    def test_empty_grid_rejected(self, duration, rate):
-        with pytest.raises(ValueError, match="rounds to 0 control ticks"):
+    @pytest.mark.parametrize("duration, rate, match", [
+        (0.004, 100.0, "rounds to 0 control ticks"),
+        (1.0, 0.4, "rounds to 0 control ticks"),
+        (50.0, 1e308, "is not finite")])
+    def test_empty_or_overflowing_grid_rejected(self, duration, rate, match):
+        with pytest.raises(ValueError, match=match):
             tick_times(duration, rate)
 
 
