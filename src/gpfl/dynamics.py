@@ -187,10 +187,9 @@ def inverse_dynamics(model: ManipulatorModel, q, dq, ddq) -> np.ndarray:
 
 def forward_dynamics(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
     """Joint accelerations from applied torque, via an SPD (Cholesky) solve."""
-    q = _finite_vector(model, q, "q")
-    dq = _finite_vector(model, dq, "dq")
-    tau = _finite_vector(model, tau, "torque")
-    return np.array(_accel(model, *q.tolist(), *dq.tolist(), *tau.tolist()))
+    return np.array(_accel(model, *_finite_floats(model, q, "q"),
+                           *_finite_floats(model, dq, "dq"),
+                           *_finite_floats(model, tau, "torque")))
 
 
 def potential_energy(model: ManipulatorModel, q) -> float:
@@ -235,12 +234,14 @@ def _check_dim(model: ManipulatorModel, v: np.ndarray) -> None:
         raise ValueError(f"expected vector of length {model.n_joints}, got shape {v.shape}")
 
 
-def _finite_vector(model: ManipulatorModel, v, name: str) -> np.ndarray:
+def _finite_floats(model: ManipulatorModel, v, name: str) -> list[float]:
+    """v's entries as Python floats, after its shape and their finiteness are checked."""
     v = np.asarray(v, dtype=float)
     _check_dim(model, v)
-    if not np.all(np.isfinite(v)):
+    values = v.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} entries must be finite")
-    return v
+    return values
 
 
 def _accel(model: ManipulatorModel, q1: float, q2: float, dq1: float, dq2: float,
@@ -313,16 +314,14 @@ def simulate(model: ManipulatorModel,
     times = tick_times(duration, control_rate)
     if integrator_substeps < 1:
         raise ValueError("integrator_substeps must be >= 1")
-    q0 = _finite_vector(model, q0, "q")
-    dq0 = _finite_vector(model, dq0, "dq")
+    # the state lives in four floats; the arrays only record it per tick
+    q1, q2 = _finite_floats(model, q0, "q")
+    dq1, dq2 = _finite_floats(model, dq0, "dq")
 
     n = model.n_joints
     n_ticks = len(times)
     h = (1.0 / control_rate) / integrator_substeps
 
-    # the state lives in four floats; the arrays only record it per tick
-    q1, q2 = q0.tolist()
-    dq1, dq2 = dq0.tolist()
     qs = np.empty((n_ticks, n))
     dqs = np.empty((n_ticks, n))
     taus = np.empty((n_ticks, n))

@@ -28,7 +28,8 @@ RHO_SCALINGS = ("sigma", "variance")
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
 
-_trtrs, _potri = scipy.linalg.get_lapack_funcs(("trtrs", "potri"), dtype=np.float64)
+_trtrs, _potri, _potrs = scipy.linalg.get_lapack_funcs(("trtrs", "potri", "potrs"),
+                                                       dtype=np.float64)
 
 
 class IllConditionedDatasetError(RuntimeError):
@@ -164,8 +165,9 @@ class GpModel:
 
 
 def _pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape (n, n, d)."""
-    return (X[:, None, :] - X[None, :, :]) ** 2
+    """Per-dimension squared differences, shape (n, n, d), squared in place."""
+    d = X[:, None, :] - X[None, :, :]
+    return np.square(d, out=d)
 
 
 def _se(sq_diffs: np.ndarray, lam, lengthscales: np.ndarray, out=None) -> np.ndarray:
@@ -221,6 +223,14 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float, out=None):
         f"kernel matrix not positive definite even with jitter {MAX_JITTER_FACTOR:g}*lam")
 
 
+def _cho_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cho_solve's potrs without its finiteness scans: L is `stable_cholesky`'s factor."""
+    alpha, info = _potrs(L, y, lower=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"potrs failed with info {info}")
+    return alpha
+
+
 def _lml_workspace(n: int):
     """The three (n, n) arrays one `_lml_and_grad` call writes into: K, the
     Fortran-ordered factor (then K_y^{-1}), and W o K."""
@@ -246,7 +256,7 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     ls = np.exp(theta[1:])
     K = _se(sq_diffs, lam, ls, out=K_buf)
     L, jitter = stable_cholesky(K, lam, noise_var, out=L_buf)
-    alpha = scipy.linalg.cho_solve((L, True), y)
+    alpha = _cho_solve(L, y)
     lml = (-0.5 * float(y @ alpha)
            - float(np.log(np.diag(L)).sum())
            - 0.5 * n * np.log(2.0 * np.pi))
@@ -258,8 +268,10 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
         raise scipy.linalg.LinAlgError(f"potri failed with info {info}")
     a_inv = np.add(inv, inv.T, out=WK_buf)
     np.fill_diagonal(a_inv, np.diagonal(inv))
-    # K_y^{-1} is mirrored, so its buffer takes alpha alpha^T
-    WK = np.subtract(np.outer(alpha, alpha, out=inv), a_inv, out=WK_buf)
+    # K_y^{-1} is mirrored, so its buffer takes alpha alpha^T, written through
+    # the C-ordered view inv.T: a_i a_j == a_j a_i exactly, and the writes
+    # are contiguous
+    WK = np.subtract(np.outer(alpha, alpha, out=inv.T), a_inv, out=WK_buf)
     trace_w = float(np.trace(WK))
     WK *= K
     grad = np.empty_like(theta)
@@ -292,9 +304,10 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     """Fit per-output hyperparameters by multi-start L-BFGS on the LML.
 
     The initialization is always evaluated and kept as the fallback, so the
-    returned parameters never have a lower LML than `init`.  Every LML
-    evaluation reuses one workspace.  scipy.optimize is imported here, so
-    runs that never fit do not load it.
+    returned parameters never have a lower LML than `init`.  Each distinct
+    theta is evaluated once per output, all on one workspace, and the one
+    pairwise-difference array also serves the final factorization.
+    scipy.optimize is imported here, so runs that never fit do not load it.
     """
     import scipy.optimize
 
@@ -317,13 +330,21 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     params_out = []
     for i in range(dataset.n_outputs):
         y = dataset.targets[:, i]
+        # L-BFGS-B asks again for thetas it evaluated (x, a trial step, x), and
+        # start 0 begins at theta0.  The LML is deterministic in theta, so an
+        # exact repeat is answered from here, with a copy of the gradient.
+        seen = {}
 
         def objective(theta):
-            try:
-                lml, grad = _lml_and_grad(sq_diffs, y, noise_var, theta, work)
-            except IllConditionedDatasetError:
-                return 1e25, np.zeros_like(theta)
-            return -lml, -grad
+            key = theta.tobytes()
+            if key not in seen:
+                try:
+                    lml, grad = _lml_and_grad(sq_diffs, y, noise_var, theta, work)
+                    seen[key] = -lml, -grad
+                except IllConditionedDatasetError:
+                    seen[key] = 1e25, np.zeros_like(theta)
+            value, grad = seen[key]
+            return value, grad.copy()
 
         best_theta = theta0
         best_val = objective(theta0)[0]
@@ -339,22 +360,30 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
                 best_theta = res.x
         params_out.append(SeKernelParams(lam=float(np.exp(best_theta[0])),
                                          lengthscales=np.exp(best_theta[1:])))
-    return model_from_params(dataset, params_out)
+    del work  # the final factorization needs no workspace: free its three (n, n) arrays
+    return _factorize(dataset, params_out, sq_diffs)
 
 
 def model_from_params(dataset: GpDataset, params_per_output) -> GpModel:
     """Build the cached factorizations for fixed hyperparameters."""
+    return _factorize(dataset, params_per_output, _pairwise_sq_diffs(dataset.inputs))
+
+
+def _factorize(dataset: GpDataset, params_per_output, sq_diffs: np.ndarray) -> GpModel:
+    """`model_from_params` on the dataset's `_pairwise_sq_diffs`, passed in."""
     params = tuple(params_per_output)
     if len(params) != dataset.n_outputs:
         raise ValueError("need one SeKernelParams per output")
-    sq_diffs = _pairwise_sq_diffs(dataset.inputs)
+    n = dataset.n_samples
     alphas, chols, jitters = [], [], []
     for i, p in enumerate(params):
         if p.lengthscales.shape != (dataset.input_dim,):
             raise ValueError("lengthscales must match the input dimension")
-        K = _se(sq_diffs, p.lam, p.lengthscales)
-        L, jitter = stable_cholesky(K, p.lam, dataset.noise_std ** 2)
-        alphas.append(scipy.linalg.cho_solve((L, True), dataset.targets[:, i]))
+        # K in one buffer of its own (`_se` without `out` makes three), freed
+        # once factored
+        L, jitter = stable_cholesky(_se(sq_diffs, p.lam, p.lengthscales, out=np.empty((n, n))),
+                                    p.lam, dataset.noise_std ** 2)
+        alphas.append(_cho_solve(L, dataset.targets[:, i]))
         chols.append(L)
         jitters.append(jitter)
     return GpModel(dataset=dataset, params=params, alphas=tuple(alphas),
@@ -464,7 +493,13 @@ def beta_from_lemma(rkhs_norm_bound, gamma: float, n: int, delta: float):
 
 
 def save_dataset_csv(dataset: GpDataset, path) -> None:
-    """CSV export: noise level comment, named columns, one row per sample."""
+    """CSV export: noise level comment, named columns, one row per sample.
+
+    Inputs are named q<j>, dq<j>, ddq<j>; a count not a multiple of 3 is a ValueError.
+    """
+    if dataset.input_dim % 3:
+        raise ValueError(f"input_dim {dataset.input_dim} is not a multiple of 3: the CSV "
+                         "names the inputs q<j>, dq<j>, ddq<j> for each joint j")
     n_j = dataset.input_dim // 3
     names = ([f"q{j + 1}" for j in range(n_j)]
              + [f"dq{j + 1}" for j in range(n_j)]

@@ -10,12 +10,18 @@ FLOAT = "%.17g"
 
 
 def write_table(path, names, columns, preamble: str = "") -> None:
-    """Write `preamble`, a header of `names`, then `np.column_stack(columns)` as FLOAT rows."""
+    """Write `preamble`, a header of `names`, then `np.column_stack(columns)` as FLOAT rows.
+
+    One name per column, else ValueError before the file is opened.
+    """
+    data = np.column_stack(columns)
+    if data.shape[1] != len(names):
+        raise ValueError(f"{len(names)} column names for {data.shape[1]} columns")
     row = ",".join([FLOAT] * len(names)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(preamble + ",".join(names) + "\n")
         # row by row: a 5000 x 22 trace as one list of floats adds ~4.6 MB of peak memory
-        fh.writelines(row % tuple(v.tolist()) for v in np.column_stack(columns))
+        fh.writelines(row % tuple(v.tolist()) for v in data)
 
 
 def read_pairs(path) -> dict:

@@ -182,6 +182,68 @@ def lml_and_grad_reference(sq_diffs, y, noise_var, theta):
     return lml, grad
 
 
+def fit_reference(X, Y, noise_std, init_lam, init_lengthscales, n_starts, max_iter, seed):
+    """`gpr.fit` as a plain multi-start loop that evaluates every theta the
+    optimizer asks for, however often, each on fresh arrays.
+
+    Same bounds, starts (theta0, then theta0 plus standard normal draws from
+    `default_rng(seed)`, clipped), L-BFGS-B call and choice of the best
+    start; the pairwise squared differences are `(X_i - X_j) ** 2`.  Returns
+    the fitted (lam, lengthscales) per output and the factor, weights and
+    jitter of K_y at them, which a memoized fit must match bit for bit.
+    """
+    import scipy.optimize
+
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    n, dim = X.shape
+    sq_diffs = (X[:, None, :] - X[None, :, :]) ** 2
+    noise_var = noise_std ** 2
+    rng = np.random.default_rng(seed)
+    lo = np.array([np.log(1e-8)] + [np.log(1e-3)] * dim)
+    hi = np.array([np.log(1e10)] + [np.log(1e4)] * dim)
+    theta0 = np.clip(np.concatenate([[np.log(init_lam)], np.log(init_lengthscales)]), lo, hi)
+    params, chols, alphas, jitters = [], [], [], []
+    for i in range(Y.shape[1]):
+        y = Y[:, i]
+
+        def objective(theta):
+            try:
+                lml, grad = lml_and_grad_reference(sq_diffs, y, noise_var, theta)
+            except np.linalg.LinAlgError:
+                return 1e25, np.zeros_like(theta)
+            return -lml, -grad
+
+        best_theta = theta0
+        best_val = objective(theta0)[0]
+        starts = [theta0] + [np.clip(theta0 + rng.normal(0.0, 1.0, size=theta0.size), lo, hi)
+                             for _ in range(n_starts - 1)]
+        for start in starts:
+            res = scipy.optimize.minimize(objective, start, jac=True, method="L-BFGS-B",
+                                          bounds=list(zip(lo, hi)),
+                                          options={"maxiter": max_iter})
+            if np.isfinite(res.fun) and res.fun < best_val:
+                best_val = res.fun
+                best_theta = res.x
+        lam = float(np.exp(best_theta[0]))
+        ls = np.exp(best_theta[1:])
+        K = lam * np.exp(-(sq_diffs @ (1.0 / ls ** 2)))
+        jitter = 1e-10 * lam
+        while True:
+            K_y = K.copy(order="F")
+            K_y.flat[::n + 1] += noise_var + jitter
+            try:
+                L = scipy.linalg.cholesky(K_y, lower=True)
+                break
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+        params.append((lam, ls))
+        chols.append(L)
+        alphas.append(scipy.linalg.cho_solve((L, True), y))
+        jitters.append(jitter)
+    return params, chols, alphas, jitters
+
+
 def predict_reference(model, x):
     """GP posterior mean and variance per output at one query, solved with
     `scipy.linalg.solve_triangular` and its default input checks.

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gpfl import gpr
 from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, TrueModelNominal
@@ -19,8 +20,9 @@ from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, BoundParams,
                       mismatch_target, model_from_params, predict,
                       rho_from_mean_var, save_dataset_csv, save_model_txt,
                       se_kernel, stable_cholesky)
-from oracles import (TwoLinkOracle, gp_posterior_dense, info_gain_exhaustive,
-                     lml_and_grad_reference, lml_grad_reference, predict_reference)
+from oracles import (TwoLinkOracle, fit_reference, gp_posterior_dense,
+                     info_gain_exhaustive, lml_and_grad_reference, lml_grad_reference,
+                     predict_reference)
 
 
 def _random_dataset(rng, n=20, dim=3, n_outputs=2, noise_std=0.3):
@@ -538,6 +540,67 @@ class TestFit:
         assert (init.lengthscales > 0).all()
 
 
+class TestFitEvaluatesEachThetaOnce:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 40), dim=st.integers(1, 4),
+           n_outputs=st.integers(1, 2), n_starts=st.integers(1, 3),
+           noise_std=st.floats(0.0, 0.5))
+    def test_equals_the_unmemoized_multi_start_loop(self, seed, n, dim, n_outputs, n_starts,
+                                                    noise_std):
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, n=n, dim=dim, n_outputs=n_outputs, noise_std=noise_std)
+        init = default_init_params(ds)
+        model = fit(ds, init, n_starts=n_starts, max_iter=30, seed=seed)
+        params, chols, alphas, jitters = fit_reference(
+            ds.inputs, ds.targets, noise_std, init.lam, init.lengthscales,
+            n_starts=n_starts, max_iter=30, seed=seed)
+        for p, (lam, ls) in zip(model.params, params, strict=True):
+            assert p.lam == lam
+            np.testing.assert_array_equal(p.lengthscales, ls)
+        for L, L_ref, alpha, alpha_ref in zip(model.chols, chols, model.alphas, alphas,
+                                              strict=True):
+            np.testing.assert_array_equal(L, L_ref)
+            np.testing.assert_array_equal(alpha, alpha_ref)
+        assert model.jitters == tuple(jitters)
+
+    def test_no_output_evaluates_a_theta_twice(self, monkeypatch):
+        ds = _random_dataset(np.random.default_rng(13), n=30, dim=3, n_outputs=2,
+                             noise_std=0.2)
+        seen = []
+        lml_and_grad = gpr._lml_and_grad
+
+        def recording(sq_diffs, y, noise_var, theta, work):
+            seen.append((y.tobytes(), theta.tobytes()))
+            return lml_and_grad(sq_diffs, y, noise_var, theta, work)
+        monkeypatch.setattr(gpr, "_lml_and_grad", recording)
+        fit(ds, default_init_params(ds), n_starts=3, max_iter=40)
+        assert len({y for y, _ in seen}) == ds.n_outputs
+        assert len(set(seen)) == len(seen) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=st.integers(1, 12).flatmap(lambda n: st.integers(1, 5).flatmap(
+        lambda d: arrays(np.float64, (n, d), elements=st.floats(-1e150, 1e150)))))
+    def test_pairwise_sq_diffs_equal_the_broadcast_square(self, X):
+        expected = (X[:, None] - X[None]) ** 2
+        got = gpr._pairwise_sq_diffs(X)
+        assert got.shape == expected.shape
+        assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+    def test_peak_memory_below_two_and_a_half_pairwise_arrays(self):
+        n, dim = 120, 6
+        ds = _random_dataset(np.random.default_rng(14), n=n, dim=dim, n_outputs=2)
+        init = default_init_params(ds)
+        fit(ds, init, n_starts=1, max_iter=3)
+        tracemalloc.start()
+        try:
+            fit(ds, init, n_starts=1, max_iter=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairwise_bytes = n * n * dim * np.dtype(float).itemsize
+        assert peak < 2.5 * pairwise_bytes, peak / pairwise_bytes
+
+
 class TestStableCholesky:
     def test_clean_matrix_uses_base_jitter(self):
         rng = np.random.default_rng(0)
@@ -744,6 +807,13 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "# noise_std=0.10000000000000001"
         assert lines[1] == "q1,q2,dq1,dq2,ddq1,ddq2,e1,e2"
+
+    def test_dataset_csv_rejects_inputs_not_in_joint_triples(self, tmp_path):
+        ds = GpDataset(inputs=np.zeros((2, 4)), targets=np.zeros((2, 1)))
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError, match="input_dim 4 is not a multiple of 3"):
+            save_dataset_csv(ds, path)
+        assert not path.exists()
 
     def test_load_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,6 +1,7 @@
 """The one table writer against the per-value reference writer."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -35,3 +36,11 @@ def test_same_bytes_as_reference_and_exact_parse_back(tmp_path_factory, data, n_
     np.testing.assert_array_equal(np.isnan(parsed), nan)
     # compare bit patterns, so -0.0 and 0.0 differ
     assert (parsed[~nan].view(np.uint64) == stacked[~nan].view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+def test_name_count_must_match_column_count(tmp_path, names):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=f"{len(names)} column names for 2 columns"):
+        write_table(path, names, [np.zeros(3), np.zeros(3)])
+    assert not path.exists()
