@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gpr
-from .config import ExperimentConfig, default_config, load_config, save_config
+from .config import ExperimentConfig, load_config, save_config
 from .control import VARIANTS
 from .harness import (run_experiment, run_tracking, train_gp, validate,
                       write_trace_csv)
@@ -26,7 +26,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load(args) -> ExperimentConfig:
     if args.config == "default":
-        config = default_config()
+        config = ExperimentConfig()
     else:
         config = load_config(args.config)
     # replace() reruns __post_init__, so an override is validated like the file;

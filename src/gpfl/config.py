@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .control import VARIANTS, GainSpec
+from .control import VARIANTS, ControllerSpec, GainSpec
 from .dynamics import ManipulatorModel, ScaledIdentityNominal, tick_count
-from .gpr import RHO_SCALINGS, BoundParams
 from .textio import FLOAT, read_pairs
 
 
@@ -40,7 +40,6 @@ class ExperimentConfig:
     kd: float = 2.0 * np.sqrt(50.0)
     epsilon: float = 0.5
     beta: float = 3.0
-    rho_scaling: str = "sigma"
     # GP training
     noise_std: float = 0.0
     gp_n_starts: int = 4
@@ -65,24 +64,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             # NaN slips through every range check below (all comparisons are
             # false), so it is rejected here together with +-inf
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        object.__setattr__(self, "eval_seeds", tuple(int(s) for s in self.eval_seeds))
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            # int() would truncate 2.5 to 2; operator.index takes only integers, numpy's too
+            try:
+                if f.type == "int":
+                    object.__setattr__(self, f.name, operator.index(value))
+                elif f.name == "eval_seeds":
+                    object.__setattr__(self, f.name, tuple(map(operator.index, value)))
+            except TypeError:
+                raise ValueError(f"{f.name} takes integers only, got {value!r}") from None
         object.__setattr__(self, "controllers", tuple(str(c) for c in self.controllers))
-        if self.rho_scaling not in RHO_SCALINGS:
-            raise ValueError(f"rho_scaling must be one of {RHO_SCALINGS}")
         unknown = [c for c in self.controllers if c not in VARIANTS]
         if unknown:
             raise ValueError(f"unknown controllers {unknown}; valid: {VARIANTS}")
-        if not self.controllers:
-            raise ValueError("controller list must be non-empty")
-        if not self.eval_seeds:
-            raise ValueError("need at least one evaluation seed")
         # a repeat would rerun a trajectory, overwrite its trace and count it twice
         for name, values in (("eval_seeds", self.eval_seeds),
                              ("controllers", self.controllers)):
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat an entry, got {values}")
         # numpy's seeding rejects a negative seed only when a run starts
@@ -93,26 +96,17 @@ class ExperimentConfig:
         # positive, and at least one tick: an empty grid would fail only once
         # a run or the training set is built
         tick_count(self.duration, self.control_rate)
-        if self.integrator_substeps < 1:
-            raise ValueError("integrator_substeps must be >= 1")
-        if self.gp_n_starts < 1:
-            raise ValueError("gp_n_starts must be >= 1")
-        if self.gp_max_iter < 1:
-            raise ValueError("gp_max_iter must be >= 1")
-        if self.downsample < 1:
-            raise ValueError("downsample must be >= 1")
+        for name in ("integrator_substeps", "gp_n_starts", "gp_max_iter", "downsample",
+                     "n_sinusoids"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.omega_min < self.omega_max:
             raise ValueError("omega_min must be strictly below omega_max")
-        if self.n_sinusoids < 1:
-            raise ValueError("n_sinusoids must be >= 1")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        # the factories run their own checks; run them now, not mid-run
+        # the factories and the law's spec run their own checks; run them now, not mid-run
         self.make_nominal(self.make_model())
-        self.make_gains()
-        self.make_bounds()
+        ControllerSpec("nominal", self.make_gains(), epsilon=self.epsilon, beta=self.beta)
 
     def make_model(self) -> ManipulatorModel:
         return ManipulatorModel(masses=(self.m1, self.m2),
@@ -126,9 +120,6 @@ class ExperimentConfig:
 
     def make_gains(self) -> GainSpec:
         return GainSpec(kp=self.kp, kd=self.kd)
-
-    def make_bounds(self) -> BoundParams:
-        return BoundParams(beta=self.beta, scaling=self.rho_scaling)
 
 
 def _format_value(value) -> str:
@@ -175,7 +166,3 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()

@@ -65,25 +65,28 @@ class LyapunovDesign:
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """One row of the controller table: the variant and what its terms need."""
+    """One row of the controller table: the variant, what its terms need, and the
+    law's scalars: boundary layer `epsilon` and confidence multiplier `beta`."""
 
     variant: str
     gains: GainSpec
     lyapunov: LyapunovDesign | None = None
     epsilon: float = 0.5
     gp: gpr.GpModel | None = None
-    bounds: gpr.BoundParams | None = None
+    beta: float = 3.0
 
     def __post_init__(self):
         if self.variant not in TERMS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.epsilon < 0:
-            raise ValueError("boundary layer epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < np.inf:  # NaN fails it too
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
         add_mean, add_w = TERMS[self.variant]
         if add_mean and self.gp is None:
             raise ValueError(f"variant {self.variant!r} needs a trained GP")
-        if add_w and (self.lyapunov is None or self.bounds is None):
-            raise ValueError("robust_gp needs a LyapunovDesign and BoundParams")
+        if add_w and self.lyapunov is None:
+            raise ValueError("robust_gp needs a LyapunovDesign")
 
 
 def error_matrix(gains: GainSpec, n_joints: int) -> np.ndarray:
@@ -166,7 +169,7 @@ def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray, desire
     if not add_w:
         return tau, a
 
-    rho, _ = gpr.rho_from_mean_var(mean, variance, spec.bounds)
+    rho, _ = gpr.rho_from_mean_var(mean, variance, spec.beta)
     if not np.isfinite(rho):
         raise FloatingPointError("rho bound is non-finite")
     n = len(q_err)

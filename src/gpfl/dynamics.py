@@ -24,12 +24,12 @@ from typing import Callable
 import numpy as np
 
 
-class NotPositiveDefiniteError(RuntimeError):
-    """An inertia-style matrix failed its SPD factorization."""
+class NotPositiveDefiniteError(ArithmeticError):
+    """An inertia-style matrix failed its SPD factorization; a run that hits it aborts."""
 
 
 class SimulationAborted(RuntimeError):
-    """A control run produced a non-finite torque or state.
+    """A control run produced a non-finite torque or state, or a singular M(q).
 
     Carries the zero-based index of the control tick at which the run died.
     """
@@ -192,22 +192,15 @@ def forward_dynamics(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
                            *_finite_floats(model, tau, "torque")))
 
 
-def potential_energy(model: ManipulatorModel, q) -> float:
+def total_energy(model: ManipulatorModel, q, dq) -> float:
+    """Kinetic 0.5 dq^T M(q) dq plus potential energy, zero with both COMs at y = 0."""
+    dq = np.asarray(dq, dtype=float)
     m1, m2 = model.masses
     l1, _ = model.lengths
     r1, r2 = model.com_offsets
     y1 = r1 * math.sin(q[0])
     y2 = l1 * math.sin(q[0]) + r2 * math.sin(q[0] + q[1])
-    return model.gravity * (m1 * y1 + m2 * y2)
-
-
-def kinetic_energy(model: ManipulatorModel, q, dq) -> float:
-    dq = np.asarray(dq, dtype=float)
-    return 0.5 * dq @ inertia(model, q) @ dq
-
-
-def total_energy(model: ManipulatorModel, q, dq) -> float:
-    return kinetic_energy(model, q, dq) + potential_energy(model, q)
+    return 0.5 * dq @ inertia(model, q) @ dq + model.gravity * (m1 * y1 + m2 * y2)
 
 
 def tick_count(duration: float, rate: float) -> int:
@@ -309,7 +302,8 @@ def simulate(model: ManipulatorModel,
     constant while the continuous dynamics are advanced with
     `integrator_substeps` RK4 steps per tick.  Raises SimulationAborted with
     the offending tick index if the controller raises an ArithmeticError or
-    returns a non-finite torque, or if the state leaves the finite range.
+    returns a non-finite torque, or if the state leaves the finite range or
+    reaches a singular inertia matrix.
     """
     times = tick_times(duration, control_rate)
     if integrator_substeps < 1:
@@ -343,9 +337,9 @@ def simulate(model: ManipulatorModel,
         try:
             for _ in range(integrator_substeps):
                 q1, q2, dq1, dq2 = _rk4_step(model, q1, q2, dq1, dq2, tau1, tau2, h)
-        except (ValueError, ArithmeticError):
-            # trig/arithmetic on an overflowed state; report as divergence
-            raise SimulationAborted(k, "state became non-finite") from None
+        except (ValueError, ArithmeticError) as exc:
+            # trig/arithmetic on an overflowed state, or a singular M(q)
+            raise SimulationAborted(k, f"integration raised {type(exc).__name__}: {exc}") from None
         if not (isfinite(q1) and isfinite(q2) and isfinite(dq1) and isfinite(dq2)):
             raise SimulationAborted(k, "state became non-finite")
 

@@ -23,7 +23,6 @@ BASE_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-4
 _JITTER_RUNGS = 7  # BASE_JITTER_FACTOR * 10**k for k = 0 .. 6 reaches MAX_JITTER_FACTOR
 VARIANCE_CLAMP = -1e-9
-RHO_SCALINGS = ("sigma", "variance")
 
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
@@ -52,33 +51,6 @@ class SeKernelParams:
             raise ValueError("lam must be positive and finite")
         if ls.ndim != 1 or ls.size == 0 or not (np.isfinite(ls).all() and (ls > 0).all()):
             raise ValueError("lengthscales must be a non-empty vector of positive finite scalars")
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Confidence multiplier beta and scaling rule.
-
-    scaling selects the half-width: "sigma" uses beta*sqrt(variance),
-    "variance" uses beta*variance.
-    """
-
-    beta: float | np.ndarray = 3.0
-    scaling: str = "sigma"
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if not (np.isfinite(beta).all() and (beta > 0).all()):
-            raise ValueError("beta must be positive and finite")
-        if self.scaling not in RHO_SCALINGS:
-            raise ValueError(f"scaling must be one of {RHO_SCALINGS}")
-        object.__setattr__(self, "beta", beta)
-
-    def beta_vector(self, n_outputs: int) -> np.ndarray:
-        if self.beta.ndim == 0:
-            return np.full(n_outputs, float(self.beta))
-        if self.beta.shape != (n_outputs,):
-            raise ValueError("beta must be scalar or one value per output")
-        return self.beta
 
 
 @dataclass
@@ -206,7 +178,8 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float, out=None):
     1e-4*lam so silent degradation is impossible: at most seven attempts,
     also when 1e-10*lam underflows to 0.  Each attempt copies K into `out`,
     a Fortran-ordered (n, n) buffer (a new one if None), and factors it in
-    place, so the returned factor is `out`.
+    place, so the returned factor is `out`.  K_y is not scanned: the dataset
+    and kernel parameters are checked finite where they are made.
     """
     n = K.shape[0]
     K_y = np.empty((n, n), order="F") if out is None else out
@@ -215,7 +188,8 @@ def stable_cholesky(K: np.ndarray, lam: float, noise_var: float, out=None):
         K_y[...] = K
         K_y.flat[::n + 1] += noise_var + jitter
         try:
-            L = scipy.linalg.cholesky(K_y, lower=True, overwrite_a=True)
+            L = scipy.linalg.cholesky(K_y, lower=True, overwrite_a=True,
+                                      check_finite=False)
             return L, jitter
         except scipy.linalg.LinAlgError:
             jitter *= 10.0
@@ -278,17 +252,6 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     grad[0] = 0.5 * (WK.sum() + jitter * trace_w)
     grad[1:] = WK.reshape(-1) @ sq_diffs.reshape(n * n, dim) / ls ** 2
     return lml, grad
-
-
-def log_marginal_likelihood(dataset: GpDataset, params: SeKernelParams,
-                            output_index: int = 0) -> float:
-    """LML of one output under fixed hyperparameters (jitter included)."""
-    sq_diffs = _pairwise_sq_diffs(dataset.inputs)
-    theta = np.concatenate([[np.log(params.lam)], np.log(params.lengthscales)])
-    lml, _ = _lml_and_grad(sq_diffs, dataset.targets[:, output_index],
-                           dataset.noise_std ** 2, theta,
-                           _lml_workspace(dataset.n_samples))
-    return lml
 
 
 def default_init_params(dataset: GpDataset) -> SeKernelParams:
@@ -422,24 +385,17 @@ def predict(model: GpModel, x):
     return means, variances
 
 
-def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray,
-                      bounds: BoundParams):
+def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray, beta: float):
     """rho_i = max{|mu_i - h_i|, |mu_i + h_i|} = |mu_i| + h_i; rho = sqrt(sum rho_i^2).
 
-    For a half-width h_i >= 0 the two forms are bit-equal under IEEE
+    h_i = beta sigma_i is the half-width of the GP bound |mu_i - e_i| <= beta
+    sigma_i.  For h_i >= 0 the two forms are bit-equal under IEEE
     round-to-nearest: rounding is symmetric, so for mu_i < 0 the computed
     mu_i - h_i is exactly -(|mu_i| + h_i), and for mu_i >= 0 the computed
     mu_i + h_i is |mu_i| + h_i and, rounding being monotone, no smaller than
     |mu_i - h_i|.
     """
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    beta = bounds.beta_vector(len(mean))
-    if bounds.scaling == "sigma":
-        half = beta * np.sqrt(variance)
-    else:
-        half = beta * variance
-    components = np.abs(mean) + half
+    components = np.abs(np.asarray(mean, dtype=float)) + beta * np.sqrt(variance)
     return float(np.sqrt(np.sum(components ** 2))), components
 
 

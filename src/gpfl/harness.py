@@ -79,14 +79,14 @@ def train_gp(config: ExperimentConfig, model: ManipulatorModel | None = None,
 
 def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
                           gains: GainSpec, spec, gp=None,
-                          lyapunov: LyapunovDesign | None = None, bounds=None,
+                          lyapunov: LyapunovDesign | None = None, beta: float = 3.0,
                           epsilon: float = 0.5, diagnostics: dict | None = None):
     """Wrap the control law into the (k, t, q, dq) -> torque callable simulate expects.
 
     `true` is the law on the exact model.  With `diagnostics`, tick k also
     records row k, including the true mismatch at the GP query point.
     """
-    law = ControllerSpec(variant, gains, lyapunov, epsilon, gp, bounds)
+    law = ControllerSpec(variant, gains, lyapunov, epsilon, gp, beta)
     if variant == "true":
         nominal = TrueModelNominal(model)
 
@@ -116,8 +116,7 @@ def run_tracking(config: ExperimentConfig, controller: str, seed: int,
     ref = sample_reference(spec, config.duration, config.control_rate)
     diagnostics = diagnostic_arrays(len(ref.times), model.n_joints) if add_w else None
     tick = build_tick_controller(controller, model, nominal, gains, spec,
-                                 gp=gp, lyapunov=lyapunov,
-                                 bounds=config.make_bounds(),
+                                 gp=gp, lyapunov=lyapunov, beta=config.beta,
                                  epsilon=config.epsilon, diagnostics=diagnostics)
     try:
         trace = simulate(model, tick, ref.q[0] + config.initial_offset_q,

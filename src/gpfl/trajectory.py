@@ -100,8 +100,6 @@ def build_training_set(model: ManipulatorModel, nominal, spec: SinusoidSpec,
         raise ValueError("downsample must be >= 1")
     ref = sample_reference(spec, duration, control_rate)
     idx = np.arange(0, len(ref), downsample)
-    if len(idx) == 0:
-        raise ValueError("training trajectory produced no samples")
 
     n_j = spec.n_joints
     inputs = np.empty((len(idx), 3 * n_j))

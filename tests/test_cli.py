@@ -91,7 +91,7 @@ class TestTrainCommand:
         "gp_n_starts = 0", "training_seed = -1", "eval_seeds = 0,-1",
         "gp_max_iter = 0", "gp_max_iter = -1", "gp_fit_seed = -1", "eval_seeds = 3,3",
         # checked by the factories the config builds its parts with
-        "beta = -1", "kp = 0", "kd = -1", "nominal_scale = 0",
+        "beta = -1", "epsilon = -1", "kp = 0", "kd = -1", "nominal_scale = 0",
         "m1 = 0", "l2 = -1", "r1 = 0", "i2 = -0.1",
         # round(0.004 * 100) = 0 control ticks; 50 * 1e308 overflows
         "duration = 0.004", "control_rate = 1e308"])
@@ -122,6 +122,23 @@ class TestExperimentCommand:
                                controllers=("nominal",))
         assert main(["experiment", "--config", config]) == 1
         assert "FAILED nominal seed 0" in capsys.readouterr().out
+
+    def test_singular_inertia_aborts_runs_not_the_sweep(self, tmp_path, capsys):
+        # a massless link 1 and point-mass links, started folded back: the
+        # factorization of M(q) fails in the first RK4 substep of every run
+        config = _write_config(tmp_path, m1=1e-30, i1=0.0, i2=0.0,
+                               initial_offset_q=np.pi, duration=1.0,
+                               controllers=("true", "nominal"), eval_seeds=(0, 1))
+        assert main(["experiment", "--config", config]) == 1
+        out = capsys.readouterr().out
+        reason = ("aborted@0: integration raised NotPositiveDefiniteError: "
+                  "inertia matrix is not positive definite")
+        for seed in (0, 1):
+            for controller in ("true", "nominal"):
+                assert f"FAILED {controller} seed {seed}: {reason}" in out
+        rows = (tmp_path / "results" / "summary.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(f",nan,nan,nan,{reason}") for row in rows)
 
 
 class TestBadInvocations:

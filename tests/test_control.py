@@ -7,20 +7,18 @@ from gpfl.control import (ControllerSpec, GainSpec, LyapunovDesign, control,
 from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            TrueModelNominal, forward_dynamics, gravity,
                            inverse_dynamics, simulate)
-from gpfl.gpr import (BoundParams, GpDataset, SeKernelParams, model_from_params,
-                      predict)
+from gpfl.gpr import GpDataset, SeKernelParams, model_from_params, predict
 
 MODEL = ManipulatorModel()
 GAINS = GainSpec()
 NOMINAL = ScaledIdentityNominal()
 EXACT = TrueModelNominal(MODEL)
 LYAPUNOV = design_lyapunov(GAINS, n_joints=2)
-BOUNDS = BoundParams(beta=3.0, scaling="sigma")
 
 
 def _law(variant, gp=None, epsilon=0.5):
     return ControllerSpec(variant, GAINS, lyapunov=LYAPUNOV, epsilon=epsilon,
-                          gp=gp, bounds=BOUNDS)
+                          gp=gp, beta=3.0)
 
 
 def _tau(variant, q, dq, desired, gp=None, nominal=NOMINAL):
@@ -295,7 +293,7 @@ class TestControlRobustGp:
     def test_rho_zero_reduces_to_gp_controller(self, monkeypatch):
         gp = _zero_target_gp()
         monkeypatch.setattr("gpfl.gpr.rho_from_mean_var",
-                            lambda mean, var, bounds: (0.0, np.zeros(len(mean))))
+                            lambda mean, var, beta: (0.0, np.zeros(len(mean))))
         q, dq = np.array([0.1, -0.4]), np.array([0.2, 0.0])
         desired = (np.array([0.6, 0.1]), np.array([0.0, 0.3]), np.array([1.0, 1.0]))
         tau, _, row = self._call(gp, q, dq, desired)
@@ -317,7 +315,7 @@ class TestControlRobustGp:
     def test_non_finite_rho_raises(self, monkeypatch):
         gp = _zero_target_gp()
         monkeypatch.setattr("gpfl.gpr.rho_from_mean_var",
-                            lambda mean, var, bounds: (np.nan, np.full(2, np.nan)))
+                            lambda mean, var, beta: (np.nan, np.full(2, np.nan)))
         q, dq = np.zeros(2), np.zeros(2)
         desired = (np.ones(2), np.zeros(2), np.zeros(2))
         with pytest.raises(FloatingPointError):
@@ -367,11 +365,11 @@ class TestControllerSpec:
     def test_round_trip_fields(self):
         gp = _zero_target_gp()
         lyap = design_lyapunov(GAINS, 2)
-        bounds = BoundParams()
         spec = ControllerSpec(variant="robust_gp", gains=GAINS, lyapunov=lyap,
-                              epsilon=0.5, gp=gp, bounds=bounds)
+                              epsilon=0.5, gp=gp, beta=2.0)
         assert spec.variant == "robust_gp"
         assert spec.lyapunov is lyap
+        assert spec.beta == 2.0
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -381,13 +379,35 @@ class TestControllerSpec:
         with pytest.raises(ValueError):
             ControllerSpec(variant="gp", gains=GAINS)
         with pytest.raises(ValueError):
-            ControllerSpec(variant="robust_gp", gains=GAINS,
-                           gp=_zero_target_gp(), bounds=BoundParams())
-        with pytest.raises(ValueError):
-            ControllerSpec(variant="robust_gp", gains=GAINS,
-                           gp=_zero_target_gp(),
-                           lyapunov=design_lyapunov(GAINS, 2))
+            ControllerSpec(variant="robust_gp", gains=GAINS, gp=_zero_target_gp())
 
     def test_negative_epsilon(self):
         with pytest.raises(ValueError):
             ControllerSpec(variant="true", gains=GAINS, epsilon=-1.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        # a NaN epsilon fails both `||z|| >= epsilon` and `epsilon > 0`, so
+        # w = 0 on every tick and robust_gp would silently be gp
+        with pytest.raises(ValueError, match="epsilon"):
+            ControllerSpec(variant="robust_gp", gains=GAINS, lyapunov=LYAPUNOV,
+                           gp=_zero_target_gp(), epsilon=epsilon)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.nan, np.inf])
+    def test_beta_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            ControllerSpec(variant="robust_gp", gains=GAINS, lyapunov=LYAPUNOV,
+                           gp=_zero_target_gp(), beta=beta)
+
+    def test_beta_scales_the_half_width(self):
+        gp = _zero_target_gp(lam=2.0)
+        q, dq = np.zeros(2), np.zeros(2)
+        desired = (np.array([0.3, -0.2]), np.zeros(2), np.zeros(2))
+        rhos = []
+        for beta in (1.0, 4.0):
+            diagnostics = diagnostic_arrays(1, 2)
+            law = ControllerSpec("robust_gp", GAINS, LYAPUNOV, gp=gp, beta=beta)
+            control(law, NOMINAL, q, dq, desired, diagnostics)
+            rhos.append(diagnostics["rho"][0])
+        # zero-target GP: the mean is ~0, so rho is beta * ||sigma||
+        assert rhos[1] == pytest.approx(4.0 * rhos[0], rel=1e-9)

@@ -7,8 +7,7 @@ from gpfl import dynamics
 from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            SimulationAborted, TrueModelNominal, coriolis,
                            forward_dynamics, gravity, inertia,
-                           inverse_dynamics, kinetic_energy, potential_energy,
-                           simulate, tick_times, total_energy)
+                           inverse_dynamics, simulate, tick_times, total_energy)
 from oracles import (TwoLinkOracle, finite_difference_inertia_rate,
                      rk4_step_vector)
 
@@ -52,8 +51,9 @@ class TestClosedForms:
             value, [-0.17824147201228704, -0.21834580321505165], atol=1e-12)
 
     def test_potential_energy_upright(self):
-        assert potential_energy(UNIT_RODS, np.zeros(2)) == pytest.approx(0.0)
-        up = potential_energy(UNIT_RODS, np.array([np.pi / 2.0, 0.0]))
+        # at rest the total energy is the potential one
+        assert total_energy(UNIT_RODS, np.zeros(2), np.zeros(2)) == pytest.approx(0.0)
+        up = total_energy(UNIT_RODS, np.array([np.pi / 2.0, 0.0]), np.zeros(2))
         assert up == pytest.approx(19.62, abs=1e-10)
 
     def test_inertia_periodic_in_q(self):
@@ -110,8 +110,11 @@ class TestStructuralProperties:
     @settings(max_examples=50, deadline=None)
     @given(q1=angles, q2=angles, dq1=rates, dq2=rates)
     def test_kinetic_energy_nonnegative(self, q1, q2, dq1, dq2):
-        assert kinetic_energy(UNIT_RODS, np.array([q1, q2]),
-                              np.array([dq1, dq2])) >= 0.0
+        # total = kinetic + potential, and at rest it is the potential alone;
+        # rounding is monotone, so kinetic >= 0 shows as total >= total at rest
+        q = np.array([q1, q2])
+        assert (total_energy(UNIT_RODS, q, np.array([dq1, dq2]))
+                >= total_energy(UNIT_RODS, q, np.zeros(2)))
 
     @settings(max_examples=300, deadline=None)
     @given(model=st.sampled_from([UNIT_RODS, ASYMMETRIC, ManipulatorModel()]),
@@ -309,6 +312,16 @@ class TestSimulate:
                      np.zeros(2), 1.0, 100.0)
         assert exc.value.tick == 3
         assert "FloatingPointError" in exc.value.reason
+
+    def test_singular_inertia_aborts_the_run(self):
+        # a massless link 1 and point-mass links: folded back (q2 = pi), the
+        # factorization of M(q) fails
+        model = ManipulatorModel(masses=(1e-30, 3.0), inertias=(0.0, 0.0))
+        with pytest.raises(SimulationAborted) as exc:
+            simulate(model, _zero_torque, np.array([0.0, np.pi]), np.zeros(2), 1.0, 100.0)
+        assert exc.value.tick == 0
+        assert exc.value.reason == ("integration raised NotPositiveDefiniteError: "
+                                    "inertia matrix is not positive definite")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_divergent_state(self):

@@ -10,7 +10,7 @@ import pytest
 
 import gpfl
 from gpfl import gpr, harness
-from gpfl.config import ExperimentConfig, default_config, load_config, save_config
+from gpfl.config import ExperimentConfig, load_config, save_config
 from gpfl.dynamics import RunTrace
 from gpfl.harness import (ControllerStats, RunResult, compute_rmse,
                           run_experiment, run_tracking, summarize, train_gp,
@@ -96,8 +96,8 @@ class TestConfigIo:
 
     def test_default_config_round_trip(self, tmp_path):
         path = tmp_path / "config.txt"
-        save_config(default_config(), path)
-        assert dataclasses.asdict(load_config(path)) == dataclasses.asdict(default_config())
+        save_config(ExperimentConfig(), path)
+        assert dataclasses.asdict(load_config(path)) == dataclasses.asdict(ExperimentConfig())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -121,18 +121,21 @@ class TestConfigIo:
         assert str(exc.value) == f"{path}:2: bad value for {key!r}: {raw!r}"
 
     def test_removed_keys_rejected(self, tmp_path):
-        for key in ("delta", "nominal_kind", "gp_init_lam", "gp_init_lengthscale"):
+        for key in ("delta", "nominal_kind", "gp_init_lam", "gp_init_lengthscale",
+                    "rho_scaling"):
             path = tmp_path / "config.txt"
             path.write_text(f"{key} = 0.1\n")
             with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
                 load_config(path)
 
-    @pytest.mark.parametrize("key", ["m1", "kd"])
+    @pytest.mark.parametrize("key", ["m1", "kd", "beta", "epsilon"])
     def test_rejected_value_names_the_file(self, tmp_path, key):
+        # epsilon may be 0 (a pure sliding term), so it gets a negative value
+        value = -1.0 if key == "epsilon" else 0.0
         path = tmp_path / "config.txt"
-        path.write_text(f"{key} = 0\n")
+        path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError) as direct:
-            ExperimentConfig(**{key: 0.0})
+            ExperimentConfig(**{key: value})
         with pytest.raises(ValueError) as exc:
             load_config(path)
         assert str(exc.value) == f"{path}: {direct.value}"
@@ -155,8 +158,6 @@ class TestConfigIo:
             ExperimentConfig(duration=-1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(eval_seeds=())
-        with pytest.raises(ValueError):
-            ExperimentConfig(rho_scaling="linear")
         with pytest.raises(ValueError, match="eval_seeds must not repeat"):
             ExperimentConfig(eval_seeds=(3, 3), controllers=("nominal",))
         with pytest.raises(ValueError, match="controllers must not repeat"):
@@ -167,6 +168,23 @@ class TestConfigIo:
     def test_negative_seed_rejected(self, field, value):
         with pytest.raises(ValueError, match="nonnegative"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("eval_seeds", (0.9, 2.7)), ("eval_seeds", (0, 1.0)), ("gp_n_starts", 2.5),
+        ("integrator_substeps", 2.5), ("downsample", 2.5), ("n_sinusoids", 2.5),
+        ("gp_max_iter", 3.5), ("training_seed", 1000.5), ("gp_fit_seed", 1.0)])
+    def test_non_integer_rejected(self, field, value):
+        # int() would silently truncate these; files and CLI flags parse ints
+        # already, so this is the ExperimentConfig(...) / replace() path
+        with pytest.raises(ValueError, match=f"{field} takes integers only"):
+            ExperimentConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(ExperimentConfig(), **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig(eval_seeds=np.arange(2), gp_n_starts=np.int32(2))
+        assert config.eval_seeds == (0, 1) and type(config.eval_seeds[0]) is int
+        assert config.gp_n_starts == 2 and type(config.gp_n_starts) is int
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_gp_n_starts_below_one_rejected(self, value):
