@@ -1,8 +1,8 @@
 """GP-compensated robust feedback linearization for a planar two-link arm."""
 
 from .config import ExperimentConfig, load_config, save_config
-from .control import (ControllerSpec, GainSpec, LyapunovDesign, control,
-                      design_lyapunov, diagnostic_arrays, gp_query_acceleration)
+from .control import (ControllerSpec, GainSpec, control, design_lyapunov,
+                      diagnostic_arrays, gp_query_acceleration)
 from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RunTrace,
                        ScaledIdentityNominal, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, gravity,

@@ -19,7 +19,6 @@ from .harness import (run_experiment, run_tracking, train_gp, validate,
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default="default",
                         help="config file path, or 'default'")
-    parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--substeps", type=int, default=None,
                         help="RK4 substeps per control tick")
 
@@ -31,7 +30,7 @@ def _load(args) -> ExperimentConfig:
         config = load_config(args.config)
     # replace() reruns __post_init__, so an override is validated like the file;
     # run's --seed is its one evaluation seed, validate's an RNG seed
-    overrides = {"out_dir": args.out, "integrator_substeps": args.substeps,
+    overrides = {"out_dir": getattr(args, "out", None), "integrator_substeps": args.substeps,
                  "eval_seeds": (args.seed,) if args.command == "run" else None}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -57,6 +56,9 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="run the invariant suites")
     _add_common(p_val)
     p_val.add_argument("--seed", type=int, default=0, help="RNG seed for the checks")
+    # validate writes nothing, so only the commands that write take --out
+    for p in (p_train, p_run, p_exp):
+        p.add_argument("--out", default=None, help="output directory")
 
     args = parser.parse_args(argv)
     try:

@@ -36,10 +36,10 @@ class ExperimentConfig:
     # nominal model
     nominal_scale: float = 0.5
     # gains and robust term
-    kp: float = 50.0
-    kd: float = 2.0 * np.sqrt(50.0)
-    epsilon: float = 0.5
-    beta: float = 3.0
+    kp: float = GainSpec.kp
+    kd: float = GainSpec.kd
+    epsilon: float = ControllerSpec.epsilon
+    beta: float = ControllerSpec.beta
     # GP training
     noise_std: float = 0.0
     gp_n_starts: int = 4
@@ -56,7 +56,7 @@ class ExperimentConfig:
     downsample: int = 50
     # evaluation protocol
     eval_seeds: tuple = tuple(range(10))
-    controllers: tuple = ("true", "nominal", "gp", "robust_gp")
+    controllers: tuple = VARIANTS
     integrator_substeps: int = 10
     initial_offset_q: float = 0.0
     initial_offset_dq: float = 0.0

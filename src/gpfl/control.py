@@ -43,34 +43,14 @@ class GainSpec:
 
 
 @dataclass(frozen=True)
-class LyapunovDesign:
-    """Q solving H^T Q + Q H = -P for the error-dynamics matrix H."""
-
-    Q: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        P = np.asarray(self.P, dtype=float)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "P", P)
-        for name, m in (("Q", Q), ("P", P)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square")
-            if not np.allclose(m, m.T, atol=1e-10):
-                raise ValueError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(m).min() <= 0:
-                raise ValueError(f"{name} must be positive definite")
-
-
-@dataclass(frozen=True)
 class ControllerSpec:
     """One row of the controller table: the variant, what its terms need, and the
-    law's scalars: boundary layer `epsilon` and confidence multiplier `beta`."""
+    law's values: the weight Q of V = xi^T Q xi (`lyapunov`, from `design_lyapunov`),
+    boundary layer `epsilon` and confidence multiplier `beta`."""
 
     variant: str
     gains: GainSpec
-    lyapunov: LyapunovDesign | None = None
+    lyapunov: np.ndarray | None = None
     epsilon: float = 0.5
     gp: gpr.GpModel | None = None
     beta: float = 3.0
@@ -82,11 +62,20 @@ class ControllerSpec:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if not 0.0 < self.beta < np.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
+        if self.lyapunov is not None:
+            Q = np.asarray(self.lyapunov, dtype=float)
+            object.__setattr__(self, "lyapunov", Q)
+            if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+                raise ValueError("Q must be square")
+            if not np.allclose(Q, Q.T, atol=1e-10):
+                raise ValueError("Q must be symmetric")
+            if np.linalg.eigvalsh(Q).min() <= 0:
+                raise ValueError("Q must be positive definite")
         add_mean, add_w = TERMS[self.variant]
         if add_mean and self.gp is None:
             raise ValueError(f"variant {self.variant!r} needs a trained GP")
         if add_w and self.lyapunov is None:
-            raise ValueError("robust_gp needs a LyapunovDesign")
+            raise ValueError("robust_gp needs the Lyapunov weight Q")
 
 
 def error_matrix(gains: GainSpec, n_joints: int) -> np.ndarray:
@@ -99,24 +88,22 @@ def error_matrix(gains: GainSpec, n_joints: int) -> np.ndarray:
     return H
 
 
-def design_lyapunov(gains: GainSpec, n_joints: int,
-                    P: np.ndarray | None = None) -> LyapunovDesign:
-    """Solve H^T Q + Q H = -P for the closed-loop error dynamics.
+def design_lyapunov(gains: GainSpec, n_joints: int) -> np.ndarray:
+    """Q solving H^T Q + Q H = -I for the closed-loop error dynamics.
 
-    H = [[0, I], [-K_P, -K_D]] is Hurwitz for positive gains, so a unique
-    symmetric positive-definite Q exists for any positive-definite P
-    (default identity).
+    H = [[0, I], [-K_P, -K_D]] is Hurwitz for positive gains, so Q is unique,
+    symmetric and positive definite.
     """
     if n_joints < 1:
         raise ValueError("n_joints must be >= 1")
     H = error_matrix(gains, n_joints)
-    P = np.eye(2 * n_joints) if P is None else np.asarray(P, dtype=float)
+    P = np.eye(2 * n_joints)
     Q = scipy.linalg.solve_continuous_lyapunov(H.T, -P)
     Q = 0.5 * (Q + Q.T)
     residual = np.linalg.norm(H.T @ Q + Q @ H + P)
     if residual > LYAPUNOV_RESIDUAL_TOL:
         raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} too large")
-    return LyapunovDesign(Q=Q, P=P)
+    return Q
 
 
 def gp_query_acceleration(ddq_d, q_err, dq_err, gains: GainSpec) -> np.ndarray:
@@ -173,7 +160,7 @@ def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray, desire
     if not np.isfinite(rho):
         raise FloatingPointError("rho bound is non-finite")
     n = len(q_err)
-    Q = spec.lyapunov.Q
+    Q = spec.lyapunov
     xi = np.concatenate([q_err, dq_err])
     z = nominal.apply_inverse(q, Q[n:, :] @ xi)
     z_norm = float(np.linalg.norm(z))

@@ -9,14 +9,14 @@ identical configs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gpr
 from .config import ExperimentConfig
-from .control import (TERMS, ControllerSpec, GainSpec, LyapunovDesign,
+from .control import (LYAPUNOV_RESIDUAL_TOL, TERMS, ControllerSpec, GainSpec,
                       control, design_lyapunov, diagnostic_arrays, error_matrix)
 from .dynamics import (ManipulatorModel, RunTrace, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, inertia,
@@ -79,8 +79,8 @@ def train_gp(config: ExperimentConfig, model: ManipulatorModel | None = None,
 
 def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
                           gains: GainSpec, spec, gp=None,
-                          lyapunov: LyapunovDesign | None = None, beta: float = 3.0,
-                          epsilon: float = 0.5, diagnostics: dict | None = None):
+                          lyapunov: np.ndarray | None = None, beta=ControllerSpec.beta,
+                          epsilon=ControllerSpec.epsilon, diagnostics: dict | None = None):
     """Wrap the control law into the (k, t, q, dq) -> torque callable simulate expects.
 
     `true` is the law on the exact model.  With `diagnostics`, tick k also
@@ -101,8 +101,10 @@ def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
 
 def run_tracking(config: ExperimentConfig, controller: str, seed: int,
                  model: ManipulatorModel | None = None, nominal=None,
-                 gp=None, lyapunov: LyapunovDesign | None = None) -> RunResult:
+                 gp=None, lyapunov: np.ndarray | None = None) -> RunResult:
     """Simulate one (controller, seed) pair from the on-reference initial state."""
+    # the pair obeys the config's rules: a known controller, a seed off the training one
+    config = replace(config, controllers=(controller,), eval_seeds=(seed,))
     model = config.make_model() if model is None else model
     nominal = config.make_nominal(model) if nominal is None else nominal
     gains = config.make_gains()
@@ -326,12 +328,11 @@ def validate(config: ExperimentConfig | None = None, seed: int = 0,
     min_eig = np.inf
     for kp, kd in ((config.kp, config.kd), (10.0, 5.0), (1.0, 1.0)):
         gains = GainSpec(kp=kp, kd=kd)
-        design = design_lyapunov(gains, 2)
+        Q = design_lyapunov(gains, 2)
         H = error_matrix(gains, 2)
-        worst = max(worst, float(np.linalg.norm(
-            H.T @ design.Q + design.Q @ H + design.P)))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(design.Q).min()))
-    checks.append(("lyapunov_residual", worst < 1e-8 and min_eig > 0,
+        worst = max(worst, float(np.linalg.norm(H.T @ Q + Q @ H + np.eye(4))))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(Q).min()))
+    checks.append(("lyapunov_residual", worst < LYAPUNOV_RESIDUAL_TOL and min_eig > 0,
                    f"max residual {worst:.2e}, min eig {min_eig:.3e}"))
 
     # trajectory: analytic derivatives against central differences

@@ -30,6 +30,13 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err == "gpfl: --seed must be >= 0, got -1\n"
 
+    def test_out_flag_rejected_by_parser(self, tmp_path):
+        # validate writes nothing, so an --out it would ignore is an error
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--out", str(tmp_path / "results")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "results").exists()
+
 
 class TestRunCommand:
     def test_writes_trace(self, tmp_path, capsys):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gpfl.control import (ControllerSpec, GainSpec, LyapunovDesign, control,
-                          design_lyapunov, diagnostic_arrays, error_matrix,
-                          gp_query_acceleration)
+from gpfl.control import (ControllerSpec, GainSpec, control, design_lyapunov,
+                          diagnostic_arrays, error_matrix, gp_query_acceleration)
 from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            TrueModelNominal, forward_dynamics, gravity,
                            inverse_dynamics, simulate)
@@ -44,38 +43,33 @@ def _zero_target_gp(lam=2.0, noise_std=0.1):
 
 class TestDesignLyapunov:
     def test_scalar_unit_gain_hand_solution(self):
-        design = design_lyapunov(GainSpec(kp=1.0, kd=1.0), n_joints=1)
-        np.testing.assert_allclose(design.Q, [[1.5, 0.5], [0.5, 1.0]], atol=1e-12)
+        Q = design_lyapunov(GainSpec(kp=1.0, kd=1.0), n_joints=1)
+        np.testing.assert_allclose(Q, [[1.5, 0.5], [0.5, 1.0]], atol=1e-12)
 
     def test_residual_is_tiny(self):
-        design = design_lyapunov(GAINS, n_joints=2)
+        Q = design_lyapunov(GAINS, n_joints=2)
         H = error_matrix(GAINS, 2)
-        residual = H.T @ design.Q + design.Q @ H + design.P
+        residual = H.T @ Q + Q @ H + np.eye(4)
         assert np.abs(residual).max() < 1e-12
 
     def test_q_symmetric_positive_definite(self):
-        design = design_lyapunov(GAINS, n_joints=2)
-        np.testing.assert_allclose(design.Q, design.Q.T, atol=1e-14)
-        assert np.linalg.eigvalsh(design.Q).min() > 0
-
-    def test_linear_in_p(self):
-        base = design_lyapunov(GAINS, n_joints=2)
-        doubled = design_lyapunov(GAINS, n_joints=2, P=2.0 * np.eye(4))
-        np.testing.assert_allclose(doubled.Q, 2.0 * base.Q, atol=1e-12)
+        Q = design_lyapunov(GAINS, n_joints=2)
+        np.testing.assert_allclose(Q, Q.T, atol=1e-14)
+        assert np.linalg.eigvalsh(Q).min() > 0
 
     def test_per_joint_closed_form(self):
         kp, kd = GAINS.kp, GAINS.kd
         q12 = 1.0 / (2.0 * kp)
         q22 = (1.0 + 2.0 * q12) / (2.0 * kd)
         q11 = kd * q12 + kp * q22
-        design = design_lyapunov(GAINS, n_joints=2)
+        Q = design_lyapunov(GAINS, n_joints=2)
         for j in range(2):
-            assert design.Q[j, j] == pytest.approx(q11, rel=1e-12)
-            assert design.Q[j, 2 + j] == pytest.approx(q12, rel=1e-12)
-            assert design.Q[2 + j, 2 + j] == pytest.approx(q22, rel=1e-12)
-        assert design.Q[0, 1] == pytest.approx(0.0, abs=1e-12)
-        assert design.Q[0, 3] == pytest.approx(0.0, abs=1e-12)
-        assert design.Q[1, 2] == pytest.approx(0.0, abs=1e-12)
+            assert Q[j, j] == pytest.approx(q11, rel=1e-12)
+            assert Q[j, 2 + j] == pytest.approx(q12, rel=1e-12)
+            assert Q[2 + j, 2 + j] == pytest.approx(q22, rel=1e-12)
+        assert Q[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert Q[0, 3] == pytest.approx(0.0, abs=1e-12)
+        assert Q[1, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_error_matrix_structure(self):
         H = error_matrix(GainSpec(kp=4.0, kd=3.0), 2)
@@ -90,14 +84,6 @@ class TestDesignLyapunov:
             GainSpec(kp=-1.0)
         with pytest.raises(ValueError):
             GainSpec(kd=0.0)
-
-    def test_lyapunov_design_validation(self):
-        with pytest.raises(ValueError):
-            LyapunovDesign(Q=np.eye(3)[:2], P=np.eye(2))
-        with pytest.raises(ValueError):
-            LyapunovDesign(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), P=np.eye(2))
-        with pytest.raises(ValueError):
-            LyapunovDesign(Q=-np.eye(2), P=np.eye(2))
 
 
 class TestGpQueryAcceleration:
@@ -243,7 +229,7 @@ class TestControlRobustGp:
         gp = _zero_target_gp()
         epsilon = 0.5
         direction = np.array([1.0, 0.0, 0.0, 0.0])
-        z_gain = np.linalg.norm(2.0 * self.lyapunov.Q[2:, :] @ direction)
+        z_gain = np.linalg.norm(2.0 * self.lyapunov[2:, :] @ direction)
         c_star = epsilon / z_gain
         ws = []
         for scale in (1.0 - 1e-6, 1.0 + 1e-6):
@@ -264,7 +250,7 @@ class TestControlRobustGp:
         tau, _, row = self._call(gp, q, dq, desired)
 
         xi = np.concatenate([qd - q, dqd - dq])
-        z = 2.0 * (self.lyapunov.Q[2:, :] @ xi)
+        z = 2.0 * (self.lyapunov[2:, :] @ xi)
         z_norm = np.linalg.norm(z)
         assert z_norm >= 0.5
         rho = 3.0 * np.sqrt(2.0) * np.sqrt(2.0)
@@ -273,13 +259,13 @@ class TestControlRobustGp:
         expected = 0.5 * a + rho * z / z_norm
         np.testing.assert_allclose(tau, expected, atol=1e-8)
         assert row["z_norm"] == pytest.approx(z_norm, rel=1e-12)
-        assert row["V"] == pytest.approx(xi @ self.lyapunov.Q @ xi, rel=1e-12)
+        assert row["V"] == pytest.approx(xi @ self.lyapunov @ xi, rel=1e-12)
 
     def test_inside_layer_scales_linearly(self):
         gp = _zero_target_gp()
         epsilon = 0.5
         direction = np.array([1.0, 0.0, 0.0, 0.0])
-        z_gain = np.linalg.norm(2.0 * self.lyapunov.Q[2:, :] @ direction)
+        z_gain = np.linalg.norm(2.0 * self.lyapunov[2:, :] @ direction)
         ws = []
         for frac in (0.2, 0.4):
             offset = frac * epsilon / z_gain * direction
@@ -370,6 +356,13 @@ class TestControllerSpec:
         assert spec.variant == "robust_gp"
         assert spec.lyapunov is lyap
         assert spec.beta == 2.0
+
+    def test_lyapunov_weight_validation(self):
+        for Q, rule in ((np.eye(3)[:2], "square"),
+                        (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+                        (-np.eye(2), "positive definite")):
+            with pytest.raises(ValueError, match=rule):
+                ControllerSpec("robust_gp", GAINS, lyapunov=Q, gp=_zero_target_gp())
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

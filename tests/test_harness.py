@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import gpfl
 from gpfl import gpr, harness
 from gpfl.config import ExperimentConfig, load_config, save_config
+from gpfl.control import VARIANTS, ControllerSpec, GainSpec
 from gpfl.dynamics import RunTrace
 from gpfl.harness import (ControllerStats, RunResult, compute_rmse,
                           run_experiment, run_tracking, summarize, train_gp,
@@ -145,6 +147,15 @@ class TestConfigIo:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.kp = 10.0
 
+    def test_law_defaults_have_one_owner(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        tick_defaults = inspect.signature(harness.build_tick_controller).parameters
+        assert defaults["kp"] is GainSpec.kp and defaults["kd"] is GainSpec.kd
+        assert defaults["controllers"] is VARIANTS
+        for name in ("epsilon", "beta"):
+            assert defaults[name] is getattr(ControllerSpec, name)
+            assert tick_defaults[name].default is getattr(ControllerSpec, name)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.txt")
@@ -208,6 +219,15 @@ def small_experiment(tmp_path_factory):
     config = ExperimentConfig(duration=5.0, eval_seeds=(0, 1), out_dir=str(out))
     summary = run_experiment(config)
     return config, summary, out
+
+
+@pytest.mark.parametrize("controller, seed", [("bogus", 0), ("true", 1000), ("true", -1)])
+def test_run_tracking_obeys_the_config_rules(controller, seed):
+    # 1000 is the training seed, which no evaluation run may reuse
+    config = ExperimentConfig(duration=0.05)
+    assert config.training_seed == 1000
+    with pytest.raises(ValueError):
+        run_tracking(config, controller, seed)
 
 
 class TestRunExperiment:
