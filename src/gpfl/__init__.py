@@ -2,7 +2,7 @@
 
 from .config import ExperimentConfig, load_config, save_config
 from .control import (ControllerSpec, GainSpec, control, design_lyapunov,
-                      diagnostic_arrays, gp_query_acceleration)
+                      gp_query_acceleration)
 from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RunTrace,
                        ScaledIdentityNominal, SimulationAborted,
                        TrueModelNominal, coriolis, forward_dynamics, gravity,

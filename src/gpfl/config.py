@@ -24,17 +24,17 @@ class ExperimentConfig:
     """Every parameter of the tracking experiment, flat for easy (de)serialization."""
 
     # robot (two uniform 3 kg, 1 m rods by default)
-    m1: float = 3.0
-    m2: float = 3.0
-    l1: float = 1.0
-    l2: float = 1.0
-    r1: float = 0.5
-    r2: float = 0.5
-    i1: float = 0.25
-    i2: float = 0.25
-    gravity: float = 9.81
+    m1: float = ManipulatorModel.masses[0]
+    m2: float = ManipulatorModel.masses[1]
+    l1: float = ManipulatorModel.lengths[0]
+    l2: float = ManipulatorModel.lengths[1]
+    r1: float = ManipulatorModel.com_offsets[0]
+    r2: float = ManipulatorModel.com_offsets[1]
+    i1: float = ManipulatorModel.inertias[0]
+    i2: float = ManipulatorModel.inertias[1]
+    gravity: float = ManipulatorModel.gravity
     # nominal model
-    nominal_scale: float = 0.5
+    nominal_scale: float = ScaledIdentityNominal.scale
     # gains and robust term
     kp: float = GainSpec.kp
     kd: float = GainSpec.kd

@@ -80,12 +80,8 @@ class ControllerSpec:
 
 def error_matrix(gains: GainSpec, n_joints: int) -> np.ndarray:
     """The closed-loop error-dynamics matrix H = [[0, I], [-K_P, -K_D]]."""
-    n = n_joints
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, n:] = np.eye(n)
-    H[n:, :n] = -gains.kp * np.eye(n)
-    H[n:, n:] = -gains.kd * np.eye(n)
-    return H
+    eye = np.eye(n_joints)
+    return np.block([[np.zeros_like(eye), eye], [-gains.kp * eye, -gains.kd * eye]])
 
 
 def design_lyapunov(gains: GainSpec, n_joints: int) -> np.ndarray:
@@ -118,29 +114,12 @@ def gp_query_acceleration(ddq_d, q_err, dq_err, gains: GainSpec) -> np.ndarray:
             + gains.kd * np.asarray(dq_err, dtype=float))
 
 
-def diagnostic_arrays(n_ticks: int, n_joints: int) -> dict:
-    """Per-tick record of the robust term, keyed like the trace-CSV columns.
-
-    Rows of ticks that never ran stay nan.  `control` fills every key but
-    `etrue`, the true mismatch, which needs the true model.
-    """
-    return {"rho": np.full(n_ticks, np.nan),
-            "ehat": np.full((n_ticks, n_joints), np.nan),
-            "evar": np.full((n_ticks, n_joints), np.nan),
-            "etrue": np.full((n_ticks, n_joints), np.nan),
-            "V": np.full(n_ticks, np.nan),
-            "z_norm": np.full(n_ticks, np.nan)}
-
-
-def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray, desired,
-            diagnostics: dict | None = None, k: int = 0):
+def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray,
+            desired) -> np.ndarray:
     """tau = nominal.torque(q, dq, a) [+ GP mean] [+ w], with the terms `spec` turns on.
 
     w = rho * z / ||z|| outside the boundary layer ||z|| >= epsilon and
-    rho * z / epsilon inside it, with z = M_hat(q)^{-1} D^T Q xi.  Returns
-    (tau, a).  For `robust_gp`, row k of `diagnostics` (from
-    `diagnostic_arrays`), if given, records rho, the GP mean and variance,
-    V = xi^T Q xi and ||z||.
+    rho * z / epsilon inside it, with z = M_hat(q)^{-1} D^T Q xi.
     """
     add_mean, add_w = TERMS[spec.variant]
     qd, dqd, ddqd = desired
@@ -149,20 +128,19 @@ def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray, desire
     a = gp_query_acceleration(ddqd, q_err, dq_err, spec.gains)
     tau = nominal.torque(q, dq, a)
     if not add_mean:
-        return tau, a
+        return tau
 
     mean, variance = gpr.predict(spec.gp, np.concatenate([q, dq, a]))
     tau = tau + mean
     if not add_w:
-        return tau, a
+        return tau
 
     rho, _ = gpr.rho_from_mean_var(mean, variance, spec.beta)
     if not np.isfinite(rho):
         raise FloatingPointError("rho bound is non-finite")
     n = len(q_err)
-    Q = spec.lyapunov
     xi = np.concatenate([q_err, dq_err])
-    z = nominal.apply_inverse(q, Q[n:, :] @ xi)
+    z = nominal.apply_inverse(q, spec.lyapunov[n:, :] @ xi)
     z_norm = float(np.linalg.norm(z))
     if z_norm >= spec.epsilon and z_norm > 0.0:
         w = rho * z / z_norm
@@ -170,10 +148,4 @@ def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray, desire
         w = rho * z / spec.epsilon
     else:
         w = np.zeros(n)
-    if diagnostics is not None:
-        diagnostics["rho"][k] = rho
-        diagnostics["ehat"][k] = mean
-        diagnostics["evar"][k] = variance
-        diagnostics["V"][k] = float(xi @ Q @ xi)
-        diagnostics["z_norm"][k] = z_norm
-    return tau + w, a
+    return tau + w

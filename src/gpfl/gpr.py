@@ -23,6 +23,7 @@ BASE_JITTER_FACTOR = 1e-10
 MAX_JITTER_FACTOR = 1e-4
 _JITTER_RUNGS = 7  # BASE_JITTER_FACTOR * 10**k for k = 0 .. 6 reaches MAX_JITTER_FACTOR
 VARIANCE_CLAMP = -1e-9
+ROW_BLOCK = 32  # query rows per `predict_rows` block: its (32, n, d) differences stay small
 
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
@@ -136,9 +137,9 @@ class GpModel:
         return self.dataset.input_dim
 
 
-def _pairwise_sq_diffs(X: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape (n, n, d), squared in place."""
-    d = X[:, None, :] - X[None, :, :]
+def _pairwise_sq_diffs(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Squared differences of X's rows and Y's (default X's) per dimension, in place."""
+    d = X[:, None, :] - (X if Y is None else Y)[None, :, :]
     return np.square(d, out=d)
 
 
@@ -385,6 +386,28 @@ def predict(model: GpModel, x):
     return means, variances
 
 
+def predict_rows(model: GpModel, X):
+    """`predict` at each row of X (T, d), as (T, N) means and variances: per
+    output and block of `ROW_BLOCK` rows, one cross-kernel and one triangular
+    solve with a right-hand side per row (GPML Alg. 2.1), under `predict`'s
+    clamp rule.  Equal to `predict` row by row up to rounding."""
+    X = np.asarray(X, dtype=float)
+    means, variances = np.empty((2, len(X), model.n_outputs))
+    for start in range(0, len(X), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        sq_diffs = _pairwise_sq_diffs(X[rows], model.dataset.inputs)
+        for i, p in enumerate(model.params):
+            k_star = _se(sq_diffs, p.lam, p.lengthscales)
+            means[rows, i] = k_star @ model.alphas[i]
+            # info is 0: GpModel checked that the factor's diagonal is positive
+            w, _ = _trtrs(model.chols[i], k_star.T, lower=1)
+            var = p.lam - np.einsum("ij,ij->j", w, w)
+            if (var < VARIANCE_CLAMP).any():
+                raise FloatingPointError(f"posterior variance {var.min():.3e} below clamp")
+            variances[rows, i] = np.maximum(var, 0.0)
+    return means, variances
+
+
 def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray, beta: float):
     """rho_i = max{|mu_i - h_i|, |mu_i + h_i|} = |mu_i| + h_i; rho = sqrt(sum rho_i^2).
 
@@ -393,10 +416,10 @@ def rho_from_mean_var(mean: np.ndarray, variance: np.ndarray, beta: float):
     round-to-nearest: rounding is symmetric, so for mu_i < 0 the computed
     mu_i - h_i is exactly -(|mu_i| + h_i), and for mu_i >= 0 the computed
     mu_i + h_i is |mu_i| + h_i and, rounding being monotone, no smaller than
-    |mu_i - h_i|.
+    |mu_i - h_i|.  (T, N) rows give T rhos, each bit-equal to its row's own.
     """
     components = np.abs(np.asarray(mean, dtype=float)) + beta * np.sqrt(variance)
-    return float(np.sqrt(np.sum(components ** 2))), components
+    return np.sqrt(np.sum(components ** 2, axis=-1)), components
 
 
 def max_information_gain(candidates, params: SeKernelParams,

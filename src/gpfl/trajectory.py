@@ -85,8 +85,8 @@ def sample_reference(spec: SinusoidSpec, duration: float, rate: float) -> Refere
 
 
 def build_training_set(model: ManipulatorModel, nominal, spec: SinusoidSpec,
-                       duration: float = 50.0, control_rate: float = 100.0,
-                       downsample: int = 50, noise_std: float = 0.0) -> GpDataset:
+                       duration: float, control_rate: float, downsample: int,
+                       noise_std: float = 0.0) -> GpDataset:
     """Mismatch-torque dataset from open-loop evaluation of the reference.
 
     The reference is sampled at the control rate, every `downsample`-th

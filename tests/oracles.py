@@ -2,7 +2,9 @@
 
 Everything in here is derived from first principles (symbolic Euler-Lagrange
 equations, dense matrix inversion, exhaustive enumeration) and deliberately
-shares no code with the package under test.
+shares no code with the package under test, except `tick_record_reference`,
+which replays the robust record one tick at a time through the package's
+scalar pieces.
 """
 
 from __future__ import annotations
@@ -319,3 +321,34 @@ def table_reference(path, names, columns, preamble=""):
         fh.write(preamble + ",".join(names) + "\n")
         for row in data:
             fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+def tick_record_reference(law, model, nominal, spec, trace):
+    """The robust record as the control loop computed it, one tick at a time.
+
+    At each tick's time and state: the reference by scalar
+    `trajectory.evaluate`, the commanded acceleration a, the posterior by
+    `gpr.predict` at (q, dq, a), rho, V = xi^T Q xi and ||z|| by the law's
+    per-tick formulas, and the true mismatch by `inverse_dynamics` at a.
+    Returns the columns keyed like `harness.robust_record`'s.
+    """
+    from gpfl import gpr
+    from gpfl.dynamics import inverse_dynamics
+    from gpfl.trajectory import evaluate
+
+    Q = law.lyapunov
+    n = trace.q.shape[1]
+    rows = []
+    for t, q, dq in zip(trace.times, trace.q, trace.dq):
+        qd, dqd, ddqd = evaluate(spec, t)
+        q_err, dq_err = qd - q, dqd - dq
+        a = ddqd + law.gains.kp * q_err + law.gains.kd * dq_err
+        mean, variance = gpr.predict(law.gp, np.concatenate([q, dq, a]))
+        rho = float(np.sqrt(np.sum((np.abs(mean) + law.beta * np.sqrt(variance)) ** 2)))
+        xi = np.concatenate([q_err, dq_err])
+        z = nominal.apply_inverse(q, Q[n:, :] @ xi)
+        etrue = inverse_dynamics(model, q, dq, a) - nominal.torque(q, dq, a)
+        rows.append((rho, mean, variance, etrue, float(xi @ Q @ xi),
+                     float(np.linalg.norm(z))))
+    names = ("rho", "ehat", "evar", "etrue", "V", "z_norm")
+    return {name: np.array(column) for name, column in zip(names, zip(*rows))}

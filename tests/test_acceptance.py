@@ -169,8 +169,8 @@ def test_criterion_7_prior_recovery_far_from_data(experiment):
     desired = (x_far[:2].copy(), x_far[2:4].copy(), x_far[4:6].copy())
     a = gp_query_acceleration(desired[2], np.zeros(2), np.zeros(2), gains)
     np.testing.assert_array_equal(a, x_far[4:6])
-    tau_gp, _ = control(ControllerSpec("gp", gains, gp=gp), nominal, q, dq, desired)
-    tau_nominal, _ = control(ControllerSpec("nominal", gains), nominal, q, dq, desired)
+    tau_gp = control(ControllerSpec("gp", gains, gp=gp), nominal, q, dq, desired)
+    tau_nominal = control(ControllerSpec("nominal", gains), nominal, q, dq, desired)
     tau_gap = np.abs(tau_gp - tau_nominal).max()
     print(f"criterion 7: at {scaled_gap:.1f} lengthscales out, ||mean||={mean_norm:.2e} "
           f"(<1e-6*sqrt(lam)), |var-lam|max={var_gap:.2e} (<1e-6), "

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from gpfl.control import (ControllerSpec, GainSpec, control, design_lyapunov,
-                          diagnostic_arrays, error_matrix, gp_query_acceleration)
+                          error_matrix, gp_query_acceleration)
 from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
                            TrueModelNominal, forward_dynamics, gravity,
                            inverse_dynamics, simulate)
 from gpfl.gpr import GpDataset, SeKernelParams, model_from_params, predict
+from gpfl.harness import robust_record
 
 MODEL = ManipulatorModel()
 GAINS = GainSpec()
@@ -21,8 +22,14 @@ def _law(variant, gp=None, epsilon=0.5):
 
 
 def _tau(variant, q, dq, desired, gp=None, nominal=NOMINAL):
-    tau, _ = control(_law(variant, gp), nominal, q, dq, desired)
-    return tau
+    return control(_law(variant, gp), nominal, q, dq, desired)
+
+
+def _record_row(law, q, dq, desired):
+    """`robust_record` of the one tick (q, dq, desired), as a dict of its row."""
+    record = robust_record(law, MODEL, NOMINAL, q[None], dq[None],
+                           [np.asarray(d, dtype=float)[None] for d in desired])
+    return {key: arr[0] for key, arr in record.items()}
 
 
 def _fit_gp_on_noise():
@@ -140,12 +147,9 @@ class TestControlNominal:
             q, dq = rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2)
             desired = (rng.uniform(-2, 2, 2), rng.uniform(-1, 1, 2),
                        rng.uniform(-3, 3, 2))
-            tau, a = control(_law("nominal"), EXACT, q, dq, desired)
-            np.testing.assert_array_equal(
-                a, gp_query_acceleration(desired[2], desired[0] - q,
-                                         desired[1] - dq, GAINS))
-            np.testing.assert_array_equal(
-                tau, inverse_dynamics(MODEL, q, dq, a))
+            tau = control(_law("nominal"), EXACT, q, dq, desired)
+            a = gp_query_acceleration(desired[2], desired[0] - q, desired[1] - dq, GAINS)
+            np.testing.assert_array_equal(tau, inverse_dynamics(MODEL, q, dq, a))
 
     def test_variant_does_not_switch_on_gp(self):
         # every run is handed the trained GP; only the variant turns terms on
@@ -153,7 +157,7 @@ class TestControlNominal:
         q, dq = np.array([0.2, -0.1]), np.array([0.3, 0.1])
         desired = (np.array([0.25, 0.0]), np.zeros(2), np.array([0.5, -0.5]))
         for variant in ("true", "nominal"):
-            with_gp, _ = control(_law(variant, gp), NOMINAL, q, dq, desired)
+            with_gp = control(_law(variant, gp), NOMINAL, q, dq, desired)
             np.testing.assert_array_equal(with_gp, _tau(variant, q, dq, desired))
 
     def test_scaled_identity_zero_error_gives_zero_torque(self):
@@ -207,12 +211,11 @@ class TestControlRobustGp:
     lyapunov = LYAPUNOV
 
     def _call(self, gp, q, dq, desired, epsilon=0.5):
-        """Torque, the robust term w alone, and the tick's diagnostics row."""
-        diagnostics = diagnostic_arrays(1, 2)
-        tau, _ = control(_law("robust_gp", gp, epsilon), NOMINAL, q, dq, desired,
-                         diagnostics)
+        """Torque, the robust term w alone, and the tick's record row."""
+        law = _law("robust_gp", gp, epsilon)
+        tau = control(law, NOMINAL, q, dq, desired)
         w = tau - _tau("gp", q, dq, desired, gp)
-        return tau, w, {key: arr[0] for key, arr in diagnostics.items()}
+        return tau, w, _record_row(law, q, dq, desired)
 
     def test_zero_error_adds_nothing(self):
         gp = _zero_target_gp()
@@ -279,7 +282,8 @@ class TestControlRobustGp:
     def test_rho_zero_reduces_to_gp_controller(self, monkeypatch):
         gp = _zero_target_gp()
         monkeypatch.setattr("gpfl.gpr.rho_from_mean_var",
-                            lambda mean, var, beta: (0.0, np.zeros(len(mean))))
+                            lambda mean, var, beta: (np.zeros(np.shape(mean)[:-1]),
+                                                     np.zeros(np.shape(mean))))
         q, dq = np.array([0.1, -0.4]), np.array([0.2, 0.0])
         desired = (np.array([0.6, 0.1]), np.array([0.0, 0.3]), np.array([1.0, 1.0]))
         tau, _, row = self._call(gp, q, dq, desired)
@@ -336,16 +340,6 @@ class TestControlRobustGp:
         assert row1["rho"] == row2["rho"]
         assert row1["V"] == row2["V"]
 
-    def test_fills_only_its_row(self):
-        gp = _zero_target_gp()
-        q, dq = np.array([0.1, 0.2]), np.array([0.3, 0.4])
-        diagnostics = diagnostic_arrays(3, 2)
-        control(_law("robust_gp", gp), NOMINAL, q, dq,
-                (np.zeros(2), np.zeros(2), np.zeros(2)), diagnostics, k=1)
-        for key, arr in diagnostics.items():
-            assert np.isnan(arr[0]).all() and np.isnan(arr[2]).all()
-            assert np.isfinite(arr[1]).all() == (key != "etrue")
-
 
 class TestControllerSpec:
     def test_round_trip_fields(self):
@@ -398,9 +392,7 @@ class TestControllerSpec:
         desired = (np.array([0.3, -0.2]), np.zeros(2), np.zeros(2))
         rhos = []
         for beta in (1.0, 4.0):
-            diagnostics = diagnostic_arrays(1, 2)
             law = ControllerSpec("robust_gp", GAINS, LYAPUNOV, gp=gp, beta=beta)
-            control(law, NOMINAL, q, dq, desired, diagnostics)
-            rhos.append(diagnostics["rho"][0])
+            rhos.append(_record_row(law, q, dq, desired)["rho"])
         # zero-target GP: the mean is ~0, so rho is beta * ||sigma||
         assert rhos[1] == pytest.approx(4.0 * rhos[0], rel=1e-9)

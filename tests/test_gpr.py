@@ -16,7 +16,7 @@ from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, GpDataset, GpModel,
                       IllConditionedDatasetError, SeKernelParams, beta_from_lemma,
                       default_init_params, fit, kernel_matrix, load_dataset_csv,
                       load_model_txt, max_information_gain, mismatch_target,
-                      model_from_params, predict, rho_from_mean_var,
+                      model_from_params, predict, predict_rows, rho_from_mean_var,
                       save_dataset_csv, save_model_txt, se_kernel, stable_cholesky)
 from oracles import (TwoLinkOracle, fit_reference, gp_posterior_dense,
                      info_gain_exhaustive, lml_and_grad_reference, lml_grad_reference,
@@ -316,6 +316,47 @@ class TestPredictMatchesReference:
                    rng.uniform(-2.0, 2.0, dim) + 50.0)
         for x in queries:
             assert _outcome(predict, model, x) == _outcome(predict_reference, model, x)
+
+
+class TestPredictRows:
+    # the robust record's tolerance for the GP mean and variance
+    RTOL, ATOL = 1e-6, 1e-8
+
+    @pytest.mark.parametrize("n_rows", [1, gpr.ROW_BLOCK - 1, gpr.ROW_BLOCK + 1,
+                                        2 * gpr.ROW_BLOCK + 3])
+    @pytest.mark.parametrize("n", [30, 250])
+    def test_agrees_with_predict_row_by_row(self, n_rows, n):
+        rng = np.random.default_rng(n_rows + n)
+        ds = _random_dataset(rng, n=n, dim=6, n_outputs=2, noise_std=0.05)
+        params = [SeKernelParams(lam=float(rng.uniform(0.3, 3.0)),
+                                 lengthscales=rng.uniform(0.5, 3.0, 6)) for _ in range(2)]
+        model = model_from_params(ds, params)
+        # training inputs (variance near 0), points near them, and far points
+        X = np.concatenate([ds.inputs, ds.inputs + rng.normal(0.0, 0.3, ds.inputs.shape),
+                            rng.uniform(-4.0, 4.0, (n_rows, 6))])
+        X = X[rng.permutation(len(X))[:n_rows]]
+        means, variances = predict_rows(model, X)
+        assert means.shape == variances.shape == (n_rows, 2)
+        for x, mean, var in zip(X, means, variances):
+            mean_ref, var_ref = predict(model, x)
+            np.testing.assert_allclose(mean, mean_ref, rtol=self.RTOL, atol=self.ATOL)
+            np.testing.assert_allclose(var, var_ref, rtol=self.RTOL, atol=self.ATOL)
+
+    @pytest.mark.parametrize("bad_row", [0, gpr.ROW_BLOCK - 1, gpr.ROW_BLOCK + 2])
+    def test_variance_below_the_clamp_in_any_row_raises(self, bad_row):
+        ds = GpDataset(inputs=np.zeros((1, 1)), targets=np.zeros((1, 1)))
+        params = (SeKernelParams(lam=1.0, lengthscales=[1.0]),)
+
+        def doctored(chol_value):
+            return GpModel(dataset=ds, params=params, alphas=(np.zeros(1),),
+                           chols=(np.array([[chol_value]]),), jitters=(0.0,))
+
+        X = np.full((gpr.ROW_BLOCK + 3, 1), 50.0)
+        X[bad_row] = 0.0
+        _, var = predict_rows(doctored(1.0 / np.sqrt(1.0 + 5e-10)), X)
+        assert var[bad_row, 0] == 0.0
+        with pytest.raises(FloatingPointError):
+            predict_rows(doctored(0.1), X)
 
 
 def _with_entry(L, index, value):
@@ -718,6 +759,17 @@ class TestRho:
         expected = np.abs(mean) + np.full(mean.size, beta) * np.sqrt(variance)
         np.testing.assert_array_equal(components, expected)
         assert rho == float(np.sqrt(np.sum(expected ** 2)))
+
+
+    @given(arrays(np.float64, (5, 2), elements=st.floats(-1e6, 1e6)),
+           arrays(np.float64, (5, 2), elements=st.floats(0.0, 1e6)))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_give_each_rows_bits(self, means, variances):
+        rhos, components = rho_from_mean_var(means, variances, 3.0)
+        for k in range(len(means)):
+            rho, row = rho_from_mean_var(means[k], variances[k], 3.0)
+            assert rhos[k] == rho
+            np.testing.assert_array_equal(components[k], row)
 
 
 class TestBetaFromLemma:

@@ -11,13 +11,15 @@ import pytest
 
 import gpfl
 from gpfl import gpr, harness
+from gpfl.cli import main
 from gpfl.config import ExperimentConfig, load_config, save_config
-from gpfl.control import VARIANTS, ControllerSpec, GainSpec
-from gpfl.dynamics import RunTrace
+from gpfl.control import VARIANTS, ControllerSpec, GainSpec, design_lyapunov
+from gpfl.dynamics import ManipulatorModel, RunTrace, ScaledIdentityNominal
 from gpfl.harness import (ControllerStats, RunResult, compute_rmse,
                           run_experiment, run_tracking, summarize, train_gp,
                           validate)
-from gpfl.trajectory import ReferenceTrajectory
+from gpfl.trajectory import ReferenceTrajectory, build_training_set, sample_spec
+from oracles import tick_record_reference
 
 
 def _make_trace(q, times=None):
@@ -155,6 +157,17 @@ class TestConfigIo:
         for name in ("epsilon", "beta"):
             assert defaults[name] is getattr(ControllerSpec, name)
             assert tick_defaults[name].default is getattr(ControllerSpec, name)
+        model_fields = {"masses": ("m1", "m2"), "lengths": ("l1", "l2"),
+                        "com_offsets": ("r1", "r2"), "inertias": ("i1", "i2")}
+        for field, names in model_fields.items():
+            for name, value in zip(names, getattr(ManipulatorModel, field)):
+                assert defaults[name] is value
+        assert defaults["gravity"] is ManipulatorModel.gravity
+        assert defaults["nominal_scale"] is ScaledIdentityNominal.scale
+        # the protocol's training-set values are the config's alone
+        data_defaults = inspect.signature(build_training_set).parameters
+        for name in ("duration", "control_rate", "downsample"):
+            assert data_defaults[name].default is inspect.Parameter.empty
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -279,6 +292,9 @@ class TestRunExperiment:
         idx = header.index("rho")
         first = lines[1].split(",")
         assert first[idx] == "nan"
+        # every variant's trace has the robust run's columns, in its order
+        robust = (out / "trace_robust_gp_0.csv").read_text().split("\n", 1)[0]
+        assert lines[0] == robust
 
     def test_plotdata_error_column(self, small_experiment):
         _, summary, out = small_experiment
@@ -376,6 +392,61 @@ class TestAbortHandling:
         assert (tmp_path / "summary.csv").is_file()
 
 
+class TestRobustRecord:
+    """`robust_record`, rebuilt after the run, against the per-tick reference."""
+
+    # (rtol, atol) per column; etrue is bit-equal
+    TOLERANCES = {"rho": (1e-6, 1e-8), "ehat": (1e-6, 1e-8), "evar": (1e-6, 1e-8),
+                  "V": (1e-12, 1e-14), "z_norm": (1e-12, 1e-14)}
+
+    @pytest.fixture(scope="class")
+    def small_gp(self):
+        config = ExperimentConfig(duration=1.0, downsample=5, gp_n_starts=1,
+                                  eval_seeds=(0,))
+        gp, _, _ = train_gp(config)
+        return gp
+
+    @pytest.mark.parametrize("overrides", [{}, {"initial_offset_q": 0.8, "epsilon": 0.05}])
+    def test_matches_the_per_tick_reference(self, small_gp, overrides):
+        config = ExperimentConfig(duration=2.0, eval_seeds=(0,), **overrides)
+        result = run_tracking(config, "robust_gp", 0, gp=small_gp)
+        assert result.status == "ok"
+        model = config.make_model()
+        gains = config.make_gains()
+        law = ControllerSpec("robust_gp", gains, design_lyapunov(gains, model.n_joints),
+                             config.epsilon, small_gp, config.beta)
+        spec = sample_spec(0, model.n_joints, config.n_sinusoids,
+                           config.omega_min, config.omega_max)
+        expected = tick_record_reference(law, model, config.make_nominal(model), spec,
+                                         result.trace)
+        record = result.diagnostics
+        assert list(record) == list(expected)
+        np.testing.assert_array_equal(record["etrue"], expected["etrue"])
+        for name, (rtol, atol) in self.TOLERANCES.items():
+            assert record[name].shape == expected[name].shape
+            np.testing.assert_allclose(record[name], expected[name], rtol=rtol, atol=atol)
+        # the offset start leaves the boundary layer, where the law's other branch runs
+        assert (record["z_norm"] >= config.epsilon).any() == bool(overrides)
+
+    def test_aborted_run_has_no_record(self, small_gp, monkeypatch):
+        bad_tick = 7
+        real_predict = gpr.predict
+        calls = []
+
+        def corrupting(model, x):
+            calls.append(None)
+            if len(calls) == bad_tick + 1:
+                x = np.full_like(x, np.nan)
+            return real_predict(model, x)
+
+        monkeypatch.setattr(gpr, "predict", corrupting)
+        config = ExperimentConfig(duration=1.0, eval_seeds=(0,))
+        result = run_tracking(config, "robust_gp", 0, gp=small_gp)
+        assert result.status.startswith(f"aborted@{bad_tick}: ")
+        assert result.trace is None
+        assert result.diagnostics is None
+
+
 class TestLyapunovDecreaseMechanism:
     def test_robust_term_drains_v_during_transient(self):
         config = ExperimentConfig(duration=10.0, initial_offset_q=0.8,
@@ -406,6 +477,21 @@ class TestValidate:
         assert "lyapunov_residual" in names
         for name, passed, detail in checks:
             assert passed, f"{name}: {detail}"
+
+    def test_failed_lyapunov_solve_is_a_fail_row(self, monkeypatch, capsys):
+        # a solve that returns a wrong Q: design_lyapunov's residual check raises
+        monkeypatch.setattr("scipy.linalg.solve_continuous_lyapunov",
+                            lambda a, q: np.eye(len(a)))
+        checks = validate(seed=0, n_states=5)
+        rows = {name: (passed, detail) for name, passed, detail in checks}
+        passed, detail = rows.pop("lyapunov_residual")
+        assert not passed
+        assert "kp=1, kd=1: Lyapunov solve residual" in detail
+        assert len(rows) == 6 and all(ok for ok, _ in rows.values())
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  lyapunov_residual" in out
+        assert "6/7 invariant suites passed" in out
 
 
 def test_runs_that_never_fit_do_not_load_scipy_optimize():
