@@ -4,10 +4,9 @@ from .config import ExperimentConfig, load_config, save_config
 from .control import (ControllerSpec, GainSpec, control, design_lyapunov,
                       gp_query_acceleration)
 from .dynamics import (ManipulatorModel, NotPositiveDefiniteError, RunTrace,
-                       ScaledIdentityNominal, SimulationAborted,
-                       TrueModelNominal, coriolis, forward_dynamics, gravity,
-                       inertia, inverse_dynamics, simulate, tick_times,
-                       total_energy)
+                       ScaledIdentityNominal, SimulationAborted, coriolis,
+                       forward_dynamics, gravity, inertia, inverse_dynamics,
+                       simulate, tick_times, total_energy)
 from .gpr import (GpDataset, GpModel, IllConditionedDatasetError, SeKernelParams,
                   beta_from_lemma, fit, load_dataset_csv, load_model_txt,
                   max_information_gain, mismatch_target, model_from_params,

@@ -16,13 +16,6 @@ from .harness import (run_experiment, run_tracking, train_gp, validate,
                       write_trace_csv)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default="default",
-                        help="config file path, or 'default'")
-    parser.add_argument("--substeps", type=int, default=None,
-                        help="RK4 substeps per control tick")
-
-
 def _load(args) -> ExperimentConfig:
     if args.config == "default":
         config = ExperimentConfig()
@@ -30,7 +23,7 @@ def _load(args) -> ExperimentConfig:
         config = load_config(args.config)
     # replace() reruns __post_init__, so an override is validated like the file;
     # run's --seed is its one evaluation seed, validate's an RNG seed
-    overrides = {"out_dir": getattr(args, "out", None), "integrator_substeps": args.substeps,
+    overrides = {"out_dir": getattr(args, "out", None),
                  "eval_seeds": (args.seed,) if args.command == "run" else None}
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -43,19 +36,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="build the mismatch dataset and fit the GP")
-    _add_common(p_train)
-
     p_run = sub.add_parser("run", help="single tracking run, emit a trace CSV")
-    _add_common(p_run)
     p_run.add_argument("--seed", type=int, default=0, help="evaluation seed")
     p_run.add_argument("--controller", default="robust_gp", choices=VARIANTS)
 
     p_exp = sub.add_parser("experiment", help="full seeds x controllers sweep")
-    _add_common(p_exp)
-
     p_val = sub.add_parser("validate", help="run the invariant suites")
-    _add_common(p_val)
     p_val.add_argument("--seed", type=int, default=0, help="RNG seed for the checks")
+    for p in (p_train, p_run, p_exp, p_val):
+        p.add_argument("--config", default="default", help="config file path, or 'default'")
     # validate writes nothing, so only the commands that write take --out
     for p in (p_train, p_run, p_exp):
         p.add_argument("--out", default=None, help="output directory")

@@ -9,8 +9,9 @@ acceleration a = ddq_d + K_P q_err + K_D dq_err.
 `nominal` is the bare law on a deliberately crude model, `gp` adds the GP
 posterior mean of the mismatch, and `robust_gp` also adds the sliding term w,
 sized by the confidence bound rho, with a boundary layer.  `true` is the bare
-law on the exact model (`TrueModelNominal`).  The law is a pure function;
-per-tick state lives in the simulation loop.
+law on the exact model: the `ManipulatorModel` is its own nominal model.  A
+nominal model maps one state, `torque(q, dq, ddq)` and `apply_inverse(q, v)`.
+The law is a pure function; per-tick state lives in the simulation loop.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class GainSpec:
     kd: float = 2.0 * np.sqrt(50.0)
 
     def __post_init__(self):
-        if not (self.kp > 0 and self.kd > 0):
-            raise ValueError("kp and kd must be positive")
+        if not (0.0 < self.kp < np.inf and 0.0 < self.kd < np.inf):
+            raise ValueError("kp and kd must be positive and finite")
 
 
 @dataclass(frozen=True)

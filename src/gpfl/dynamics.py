@@ -47,6 +47,8 @@ class ManipulatorModel:
     masses, lengths, com_offsets and inertias are per-link; com_offsets are
     measured from the proximal joint along the link, inertias are about the
     link's center of mass.  gravity is the gravitational acceleration (m/s^2).
+    The model is also the exact nominal model, the one the `true` controller
+    runs on: `torque` is its inverse dynamics and `apply_inverse` solves M(q).
     """
 
     masses: tuple[float, float] = (3.0, 3.0)
@@ -64,10 +66,13 @@ class ManipulatorModel:
             raise ValueError("per-link parameter lists must have equal length")
         if n != 2:
             raise ValueError("closed-form dynamics are implemented for 2 joints")
-        if min(self.masses) <= 0 or min(self.lengths) <= 0 or min(self.com_offsets) <= 0:
-            raise ValueError("masses, lengths and COM offsets must be positive")
-        if min(self.inertias) < 0:
-            raise ValueError("rotational inertias must be nonnegative")
+        # chained comparisons reject NaN and +-inf together
+        if not all(0.0 < v < math.inf for v in self.masses + self.lengths + self.com_offsets):
+            raise ValueError("masses, lengths and COM offsets must be positive and finite")
+        if not all(0.0 <= v < math.inf for v in self.inertias):
+            raise ValueError("rotational inertias must be nonnegative and finite")
+        if not math.isfinite(self.gravity):
+            raise ValueError("gravity must be finite")
 
     @property
     def n_joints(self) -> int:
@@ -87,43 +92,34 @@ class ManipulatorModel:
         g2 = m2 * r2 * self.gravity
         return a, b, c, g1, g2
 
+    def torque(self, q, dq, ddq) -> np.ndarray:
+        return inverse_dynamics(self, q, dq, ddq)
+
+    def apply_inverse(self, q, v) -> np.ndarray:
+        return np.linalg.solve(inertia(self, q), np.asarray(v, dtype=float))
+
 
 @dataclass(frozen=True)
 class ScaledIdentityNominal:
     """Deliberately crude nominal model: M_hat = scale * I, n_hat = 0.
 
-    `torque` is a nominal model's inverse dynamics M_hat(q) ddq + n_hat(q, dq).
+    A nominal model maps one state: `torque(q, dq, ddq)` is its inverse
+    dynamics M_hat(q) ddq + n_hat(q, dq) and `apply_inverse(q, v)` is
+    M_hat(q)^{-1} v.  `ManipulatorModel` is the exact one.
     """
 
     n_joints: int = 2
     scale: float = 0.5
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("nominal inertia scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("nominal inertia scale must be positive and finite")
 
     def torque(self, q, dq, ddq) -> np.ndarray:
         return self.scale * np.asarray(ddq, dtype=float)
 
     def apply_inverse(self, q, v) -> np.ndarray:
         return np.asarray(v, dtype=float) / self.scale
-
-
-@dataclass(frozen=True)
-class TrueModelNominal:
-    """Nominal model that coincides with the true dynamics (zero mismatch)."""
-
-    model: ManipulatorModel
-
-    @property
-    def n_joints(self) -> int:
-        return self.model.n_joints
-
-    def torque(self, q, dq, ddq) -> np.ndarray:
-        return inverse_dynamics(self.model, q, dq, ddq)
-
-    def apply_inverse(self, q, v) -> np.ndarray:
-        return np.linalg.solve(inertia(self.model, q), np.asarray(v, dtype=float))
 
 
 def inertia(model: ManipulatorModel, q: np.ndarray) -> np.ndarray:

@@ -172,6 +172,13 @@ def mismatch_target(nominal, q, dq, ddq, tau) -> np.ndarray:
     return np.asarray(tau, dtype=float) - nominal.torque(q, dq, ddq)
 
 
+def mismatch_targets(exact, nominal, q, dq, ddq) -> np.ndarray:
+    """`mismatch_target` with tau = exact.torque at each state row of the (T, n)
+    arrays q, dq, ddq; both models see one state at a time."""
+    return np.fromiter((mismatch_target(nominal, *s, exact.torque(*s)) for s in zip(q, dq, ddq)),
+                       np.dtype((float, q.shape[1])), len(q))
+
+
 def stable_cholesky(K: np.ndarray, lam: float, noise_var: float, out=None):
     """Lower Cholesky of K + (noise_var + jitter) I.
 

@@ -18,11 +18,12 @@ from . import gpr
 from .config import ExperimentConfig
 from .control import (LYAPUNOV_RESIDUAL_TOL, TERMS, ControllerSpec, GainSpec,
                       control, design_lyapunov, error_matrix, gp_query_acceleration)
-from .dynamics import (ManipulatorModel, RunTrace, SimulationAborted,
-                       TrueModelNominal, coriolis, forward_dynamics, inertia,
-                       inverse_dynamics, simulate, total_energy)
+from .dynamics import (ManipulatorModel, RunTrace, SimulationAborted, coriolis,
+                       forward_dynamics, inertia, inverse_dynamics, simulate,
+                       total_energy)
+# mismatch_target is not called here; perfbench/tracer.py patches it by this name
 from .gpr import (GpDataset, SeKernelParams, default_init_params, fit,
-                  mismatch_target, model_from_params, predict)
+                  mismatch_target, mismatch_targets, model_from_params, predict)
 from .textio import FLOAT, write_table
 from .trajectory import (ReferenceTrajectory, build_training_set, evaluate,
                          sample_reference, sample_spec)
@@ -85,7 +86,7 @@ def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
     is the law on the exact model."""
     law = ControllerSpec(variant, gains, lyapunov, epsilon, gp, beta)
     if variant == "true":
-        nominal = TrueModelNominal(model)
+        nominal = model
     return lambda k, t, q, dq: control(law, nominal, q, dq, evaluate(spec, t))
 
 
@@ -95,19 +96,18 @@ def robust_record(law: ControllerSpec, model: ManipulatorModel, nominal, q, dq,
     rows q, dq and reference rows `desired` = (q_d, dq_d, ddq_d): rho, the GP
     mean `ehat` and variance `evar` at the query (q, dq, a), the true mismatch
     `etrue` there, V = xi^T Q xi and ||z||, keyed like the trace-CSV columns.
-    The law's helpers run on rows (`nominal` must take them), so the values
-    are the ticks' up to rounding."""
+    The law's formulas run on all rows at once and `nominal` sees one state at
+    a time, so the values are the ticks' up to rounding."""
     qd, dqd, ddqd = desired
     n = q.shape[1]
     xi = np.concatenate([qd - q, dqd - dq], axis=1)
     a = gp_query_acceleration(ddqd, xi[:, :n], xi[:, n:], law.gains)
     ehat, evar = gpr.predict_rows(law.gp, np.concatenate([q, dq, a], axis=1))
-    tau_needed = np.fromiter((inverse_dynamics(model, *row) for row in zip(q, dq, a)),
-                             np.dtype((float, n)), len(a))
     Q = law.lyapunov
-    z = nominal.apply_inverse(q, xi @ Q[n:, :].T)
+    z = np.fromiter((nominal.apply_inverse(*s) for s in zip(q, xi @ Q[n:, :].T)),
+                    np.dtype((float, n)), len(q))
     return {"rho": gpr.rho_from_mean_var(ehat, evar, law.beta)[0], "ehat": ehat,
-            "evar": evar, "etrue": mismatch_target(nominal, q, dq, a, tau_needed),
+            "evar": evar, "etrue": mismatch_targets(model, nominal, q, dq, a),
             "V": np.sum((xi @ Q) * xi, axis=1), "z_norm": np.linalg.norm(z, axis=1)}
 
 

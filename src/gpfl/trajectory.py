@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ManipulatorModel, inverse_dynamics, tick_times
-from .gpr import GpDataset, mismatch_target
+from .dynamics import ManipulatorModel, tick_times
+from .gpr import GpDataset, mismatch_targets
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,18 @@ def build_training_set(model: ManipulatorModel, nominal, spec: SinusoidSpec,
     """Mismatch-torque dataset from open-loop evaluation of the reference.
 
     The reference is sampled at the control rate, every `downsample`-th
-    sample is kept, the required torque is computed by the true inverse
-    dynamics at the reference state, and the target is the mismatch between
-    that torque and the nominal model's prediction, optionally corrupted by
+    sample is kept, and the target at each kept reference state is the
+    mismatch between the model's torque there and the nominal model's
+    prediction (`gpr.mismatch_targets`), optionally corrupted by
     i.i.d. Gaussian noise of standard deviation `noise_std`, drawn from the
     spec's seed.
     """
     if downsample < 1:
         raise ValueError("downsample must be >= 1")
     ref = sample_reference(spec, duration, control_rate)
-    idx = np.arange(0, len(ref), downsample)
-
-    n_j = spec.n_joints
-    inputs = np.empty((len(idx), 3 * n_j))
-    targets = np.empty((len(idx), n_j))
-    for row, k in enumerate(idx):
-        q, dq, ddq = ref.q[k], ref.dq[k], ref.ddq[k]
-        tau = inverse_dynamics(model, q, dq, ddq)
-        inputs[row] = np.concatenate([q, dq, ddq])
-        targets[row] = mismatch_target(nominal, q, dq, ddq, tau)
+    q, dq, ddq = ref.q[::downsample], ref.dq[::downsample], ref.ddq[::downsample]
+    inputs = np.concatenate([q, dq, ddq], axis=1)
+    targets = mismatch_targets(model, nominal, q, dq, ddq)
     if noise_std > 0.0:
         rng = np.random.default_rng(spec.seed)
         targets = targets + rng.normal(0.0, noise_std, size=targets.shape)

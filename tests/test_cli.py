@@ -54,19 +54,6 @@ class TestRunCommand:
                      "--out", str(override)]) == 0
         assert (override / "trace_true_0.csv").is_file()
 
-    def test_substeps_flag(self, tmp_path):
-        config = _write_config(tmp_path)
-        assert main(["run", "--config", config, "--controller", "true",
-                     "--substeps", "3"]) == 0
-
-    @pytest.mark.parametrize("substeps", ["0", "-2"])
-    def test_nonpositive_substeps_rejected(self, tmp_path, capsys, substeps):
-        config = _write_config(tmp_path)
-        assert main(["run", "--config", config, "--controller", "true",
-                     "--substeps", substeps]) == 1
-        assert "gpfl: bad config" in capsys.readouterr().err
-        assert not (tmp_path / "results").exists()
-
     @pytest.mark.parametrize("seed", ["1000", "-1"])
     def test_seed_obeys_the_config_seed_rules(self, tmp_path, capsys, seed):
         # 1000 is the training seed; --seed is the run's one evaluation seed

@@ -4,15 +4,14 @@ import pytest
 from gpfl.control import (ControllerSpec, GainSpec, control, design_lyapunov,
                           error_matrix, gp_query_acceleration)
 from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
-                           TrueModelNominal, forward_dynamics, gravity,
-                           inverse_dynamics, simulate)
+                           forward_dynamics, gravity, inverse_dynamics, simulate)
 from gpfl.gpr import GpDataset, SeKernelParams, model_from_params, predict
 from gpfl.harness import robust_record
 
 MODEL = ManipulatorModel()
 GAINS = GainSpec()
 NOMINAL = ScaledIdentityNominal()
-EXACT = TrueModelNominal(MODEL)
+EXACT = MODEL
 LYAPUNOV = design_lyapunov(GAINS, n_joints=2)
 
 
@@ -91,6 +90,13 @@ class TestDesignLyapunov:
             GainSpec(kp=-1.0)
         with pytest.raises(ValueError):
             GainSpec(kd=0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"kp": np.inf}, {"kd": np.inf}, {"kp": np.nan},
+                                        {"kd": np.nan}], ids=["kp-inf", "kd-inf", "kp-nan",
+                                                              "kd-nan"])
+    def test_non_finite_gain_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="kp and kd must be positive and finite"):
+            GainSpec(**kwargs)
 
 
 class TestGpQueryAcceleration:

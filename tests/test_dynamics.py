@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from gpfl import dynamics
 from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
-                           SimulationAborted, TrueModelNominal, coriolis,
-                           forward_dynamics, gravity, inertia,
-                           inverse_dynamics, simulate, tick_times, total_energy)
+                           SimulationAborted, coriolis, forward_dynamics,
+                           gravity, inertia, inverse_dynamics, simulate,
+                           tick_times, total_energy)
 from oracles import (TwoLinkOracle, finite_difference_inertia_rate,
                      rk4_step_vector)
 
@@ -165,7 +165,7 @@ class TestNominalModels:
             ScaledIdentityNominal(n_joints=2, scale=0.0)
 
     def test_true_model_nominal_matches_dynamics(self):
-        nominal = TrueModelNominal(UNIT_RODS)
+        nominal = UNIT_RODS
         rng = np.random.default_rng(5)
         for q, dq in _state_pairs(rng, 10):
             ddq = rng.uniform(-5, 5, size=2)
@@ -211,6 +211,24 @@ class TestModelValidation:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):
             ManipulatorModel(masses=(0.0, 1.0))
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: ManipulatorModel(masses=(np.nan, 3.0)), "positive and finite"),
+        (lambda: ManipulatorModel(masses=(3.0, np.nan)), "positive and finite"),
+        (lambda: ManipulatorModel(lengths=(1.0, np.inf)), "positive and finite"),
+        (lambda: ManipulatorModel(com_offsets=(np.inf, 0.5)), "positive and finite"),
+        (lambda: ManipulatorModel(inertias=(np.inf, 0.25)), "nonnegative and finite"),
+        (lambda: ManipulatorModel(inertias=(0.25, np.nan)), "nonnegative and finite"),
+        (lambda: ManipulatorModel(gravity=np.nan), "gravity must be finite"),
+        (lambda: ManipulatorModel(gravity=-np.inf), "gravity must be finite"),
+        (lambda: ScaledIdentityNominal(scale=np.nan), "positive and finite"),
+        (lambda: ScaledIdentityNominal(scale=np.inf), "positive and finite"),
+    ], ids=["m1-nan", "m2-nan", "l2-inf", "r1-inf", "i1-inf", "i2-nan", "g-nan",
+            "g-minus-inf", "scale-nan", "scale-inf"])
+    def test_non_finite_parameter_rejected(self, make, match):
+        # an infinite inertia used to freeze its joint without an error
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_state_requires_finite_entries(self):
         for q0, dq0 in ((np.array([np.nan, 0.0]), np.zeros(2)),

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gpfl import gpr
-from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, TrueModelNominal
+from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, inverse_dynamics
 from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, GpDataset, GpModel,
                       IllConditionedDatasetError, SeKernelParams, beta_from_lemma,
                       default_init_params, fit, kernel_matrix, load_dataset_csv,
                       load_model_txt, max_information_gain, mismatch_target,
-                      model_from_params, predict, predict_rows, rho_from_mean_var,
+                      mismatch_targets, model_from_params, predict, predict_rows, rho_from_mean_var,
                       save_dataset_csv, save_model_txt, se_kernel, stable_cholesky)
 from oracles import (TwoLinkOracle, fit_reference, gp_posterior_dense,
                      info_gain_exhaustive, lml_and_grad_reference, lml_grad_reference,
@@ -157,13 +157,24 @@ class TestMismatchTarget:
 
     def test_true_nominal_gives_zero(self):
         model = ManipulatorModel()
-        nominal = TrueModelNominal(model)
+        nominal = model
         oracle = TwoLinkOracle(model.masses, model.lengths, model.com_offsets,
                                model.inertias, model.gravity)
         q, dq, ddq = np.array([0.4, -0.8]), np.array([1.0, 0.3]), np.array([-2.0, 1.5])
         tau = oracle.inverse_dynamics(q, dq, ddq)
         np.testing.assert_allclose(
             mismatch_target(nominal, q, dq, ddq, tau), np.zeros(2), atol=1e-9)
+
+    @pytest.mark.parametrize("nominal", [ScaledIdentityNominal(), ManipulatorModel()],
+                             ids=["scaled_identity", "exact"])
+    def test_over_states_equals_per_state_target(self, nominal):
+        model = ManipulatorModel()
+        q, dq, ddq = np.random.default_rng(11).uniform(-2.0, 2.0, size=(3, 7, 2))
+        expected = [mismatch_target(nominal, *s, inverse_dynamics(model, *s))
+                    for s in zip(q, dq, ddq)]
+        got = mismatch_targets(model, nominal, q, dq, ddq)
+        assert got.shape == (7, 2)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestPosterior:

@@ -132,10 +132,10 @@ class TestConfigIo:
             with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
                 load_config(path)
 
-    @pytest.mark.parametrize("key", ["m1", "kd", "beta", "epsilon"])
+    @pytest.mark.parametrize("key", ["m1", "kd", "beta", "epsilon", "integrator_substeps"])
     def test_rejected_value_names_the_file(self, tmp_path, key):
         # epsilon may be 0 (a pure sliding term), so it gets a negative value
-        value = -1.0 if key == "epsilon" else 0.0
+        value = {"epsilon": -1.0, "integrator_substeps": 0}.get(key, 0.0)
         path = tmp_path / "config.txt"
         path.write_text(f"{key} = {value}\n")
         with pytest.raises(ValueError) as direct:
@@ -427,6 +427,23 @@ class TestRobustRecord:
             np.testing.assert_allclose(record[name], expected[name], rtol=rtol, atol=atol)
         # the offset start leaves the boundary layer, where the law's other branch runs
         assert (record["z_norm"] >= config.epsilon).any() == bool(overrides)
+
+    def test_exact_nominal_records_zero_mismatch(self, small_gp):
+        # the model is a nominal that maps one state; a robust run on it ends ok
+        config = ExperimentConfig(duration=0.5, eval_seeds=(0,))
+        model = config.make_model()
+        result = run_tracking(config, "robust_gp", 0, nominal=model, gp=small_gp)
+        assert result.status == "ok"
+        record = result.diagnostics
+        np.testing.assert_array_equal(record["etrue"], np.zeros((50, 2)))
+        gains = config.make_gains()
+        law = ControllerSpec("robust_gp", gains, design_lyapunov(gains, model.n_joints),
+                             config.epsilon, small_gp, config.beta)
+        spec = sample_spec(0, model.n_joints, config.n_sinusoids,
+                           config.omega_min, config.omega_max)
+        expected = tick_record_reference(law, model, model, spec, result.trace)
+        for name, (rtol, atol) in self.TOLERANCES.items():
+            np.testing.assert_allclose(record[name], expected[name], rtol=rtol, atol=atol)
 
     def test_aborted_run_has_no_record(self, small_gp, monkeypatch):
         bad_tick = 7

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfl.dynamics import (ManipulatorModel, ScaledIdentityNominal,
-                           TrueModelNominal, simulate)
+from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, simulate
 from gpfl.gpr import mismatch_target, save_dataset_csv
 from gpfl.trajectory import (SinusoidSpec, build_training_set, evaluate,
                              sample_reference, sample_spec)
@@ -136,7 +135,7 @@ class TestBuildTrainingSet:
 
     def test_true_nominal_gives_zero_targets(self):
         spec = sample_spec(4)
-        ds = build_training_set(self.model, TrueModelNominal(self.model), spec,
+        ds = build_training_set(self.model, self.model, spec,
                                 duration=5.0, control_rate=100.0, downsample=10)
         np.testing.assert_allclose(ds.targets, np.zeros_like(ds.targets), atol=1e-10)
 
