@@ -24,6 +24,11 @@ MAX_JITTER_FACTOR = 1e-4
 _JITTER_RUNGS = 7  # BASE_JITTER_FACTOR * 10**k for k = 0 .. 6 reaches MAX_JITTER_FACTOR
 VARIANCE_CLAMP = -1e-9
 ROW_BLOCK = 32  # query rows per `predict_rows` block: its (32, n, d) differences stay small
+# L-BFGS-B's `ftol`: a start stops once an iteration lowers -LML by at most this
+# fraction, ~4x the LML's rounding noise at the optimum of the default training
+# sets (n = 100, 250: 8e-9 to 2.8e-8 relative, std along a line).  scipy's
+# default, 2.2e-9, only sends the line search into that noise until it fails.
+LML_RTOL = 1e-7
 
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
@@ -274,10 +279,11 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
         max_iter: int = 60, seed: int = 0) -> GpModel:
     """Fit per-output hyperparameters by multi-start L-BFGS on the LML.
 
-    The initialization is always evaluated and kept as the fallback, so the
-    returned parameters never have a lower LML than `init`.  Each distinct
-    theta is evaluated once per output, all on one workspace, and the one
-    pairwise-difference array also serves the final factorization.
+    Each start stops at the LML's resolution, `LML_RTOL`.  The initialization
+    is always evaluated and kept as the fallback, so the returned parameters
+    never have a lower LML than `init`.  Each distinct theta is evaluated
+    once per output, all on one workspace, and the one pairwise-difference
+    array also serves the final factorization.
     scipy.optimize is imported here, so runs that never fit do not load it.
     """
     import scipy.optimize
@@ -325,7 +331,7 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
         for start in starts:
             res = scipy.optimize.minimize(objective, start, jac=True,
                                           method="L-BFGS-B", bounds=bounds,
-                                          options={"maxiter": max_iter})
+                                          options={"maxiter": max_iter, "ftol": LML_RTOL})
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_val = res.fun
                 best_theta = res.x

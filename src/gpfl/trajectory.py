@@ -65,15 +65,16 @@ def evaluate(spec: SinusoidSpec, t):
     """Reference position, velocity and acceleration at time t.
 
     A scalar t gives one value per joint; t of shape (n, 1, 1) gives (n, J)
-    arrays, one row per time.
+    arrays, one row per time.  Each product is written over the temporary it
+    reads, so a grid needs two arrays of the phases' (n, J, N_s) shape, not four.
     """
     w = spec.frequencies
     wt = w * t
     s = np.sin(wt)
-    c = np.cos(wt)
+    c = np.cos(wt, out=wt)
     q = spec.amplitude * s.sum(axis=-1)
-    dq = spec.amplitude * (w * c).sum(axis=-1)
-    ddq = -spec.amplitude * (w * w * s).sum(axis=-1)
+    dq = spec.amplitude * np.multiply(w, c, out=c).sum(axis=-1)
+    ddq = -spec.amplitude * np.multiply(w * w, s, out=s).sum(axis=-1)
     return q, dq, ddq
 
 

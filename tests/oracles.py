@@ -4,7 +4,8 @@ Everything in here is derived from first principles (symbolic Euler-Lagrange
 equations, dense matrix inversion, exhaustive enumeration) and deliberately
 shares no code with the package under test, except `tick_record_reference`,
 which replays the robust record one tick at a time through the package's
-scalar pieces.
+scalar pieces, and `fit_reference`, which stops L-BFGS-B at the package's
+`gpr.LML_RTOL`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import sympy as sp
+
+from gpfl.gpr import LML_RTOL
 
 
 @lru_cache(maxsize=None)
@@ -184,12 +187,14 @@ def lml_and_grad_reference(sq_diffs, y, noise_var, theta):
     return lml, grad
 
 
-def fit_reference(X, Y, noise_std, init_lam, init_lengthscales, n_starts, max_iter, seed):
+def fit_reference(X, Y, noise_std, init_lam, init_lengthscales, n_starts, max_iter, seed,
+                  ftol=LML_RTOL):
     """`gpr.fit` as a plain multi-start loop that evaluates every theta the
     optimizer asks for, however often, each on fresh arrays.
 
     Same bounds, starts (theta0, then theta0 plus standard normal draws from
-    `default_rng(seed)`, clipped), L-BFGS-B call and choice of the best
+    `default_rng(seed)`, clipped), L-BFGS-B call (`ftol`, by default
+    `gpr.LML_RTOL`; None leaves scipy's default) and choice of the best
     start; the pairwise squared differences are `(X_i - X_j) ** 2`.  Returns
     the fitted (lam, lengthscales) per output and the factor, weights and
     jitter of K_y at them, which a memoized fit must match bit for bit.
@@ -220,10 +225,10 @@ def fit_reference(X, Y, noise_std, init_lam, init_lengthscales, n_starts, max_it
         best_val = objective(theta0)[0]
         starts = [theta0] + [np.clip(theta0 + rng.normal(0.0, 1.0, size=theta0.size), lo, hi)
                              for _ in range(n_starts - 1)]
+        options = {"maxiter": max_iter} if ftol is None else {"maxiter": max_iter, "ftol": ftol}
         for start in starts:
             res = scipy.optimize.minimize(objective, start, jac=True, method="L-BFGS-B",
-                                          bounds=list(zip(lo, hi)),
-                                          options={"maxiter": max_iter})
+                                          bounds=list(zip(lo, hi)), options=options)
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_val = res.fun
                 best_theta = res.x

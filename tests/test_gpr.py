@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gpfl import gpr
+from gpfl.config import ExperimentConfig
 from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, inverse_dynamics
 from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, GpDataset, GpModel,
                       IllConditionedDatasetError, SeKernelParams, beta_from_lemma,
@@ -18,6 +20,7 @@ from gpfl.gpr import (BASE_JITTER_FACTOR, MAX_JITTER_FACTOR, GpDataset, GpModel,
                       load_model_txt, max_information_gain, mismatch_target,
                       mismatch_targets, model_from_params, predict, predict_rows, rho_from_mean_var,
                       save_dataset_csv, save_model_txt, se_kernel, stable_cholesky)
+from gpfl.harness import train_gp
 from oracles import (TwoLinkOracle, fit_reference, gp_posterior_dense,
                      info_gain_exhaustive, lml_and_grad_reference, lml_grad_reference,
                      predict_reference)
@@ -657,6 +660,36 @@ class TestFitEvaluatesEachThetaOnce:
             tracemalloc.stop()
         pairwise_bytes = n * n * dim * np.dtype(float).itemsize
         assert peak < 2.5 * pairwise_bytes, peak / pairwise_bytes
+
+
+class TestStoppingRule:
+    def test_starts_stop_at_the_lml_resolution(self, monkeypatch):
+        # the default config's training set (n = 100): with scipy's default
+        # ftol most starts end ABNORMAL, their line search lost in the LML's
+        # rounding noise; at LML_RTOL each start converges, and the fit's LML
+        # stays within that resolution of the default-ftol fit's
+        results = []
+        minimize = scipy.optimize.minimize
+
+        def recording(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        config = ExperimentConfig()
+        model, ds, _ = train_gp(config)
+        monkeypatch.undo()
+        assert ds.n_samples == 100
+        assert len(results) == config.gp_n_starts * ds.n_outputs
+        assert [r.status for r in results] == [0] * len(results)
+        init = default_init_params(ds)
+        reference, _, _, _ = fit_reference(
+            ds.inputs, ds.targets, ds.noise_std, init.lam, init.lengthscales,
+            n_starts=config.gp_n_starts, max_iter=config.gp_max_iter, seed=config.gp_fit_seed,
+            ftol=None)
+        for i, (p, (lam, ls)) in enumerate(zip(model.params, reference, strict=True)):
+            lml = _lml(ds, p, i)
+            lml_default = _lml(ds, SeKernelParams(lam=lam, lengthscales=ls), i)
+            assert abs(lml - lml_default) <= gpr.LML_RTOL * abs(lml_default), (lml, lml_default)
 
 
 class TestStableCholesky:
