@@ -10,12 +10,17 @@ estimate and the lemma-style beta.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import itertools
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .textio import FLOAT, read_pairs, write_table
 
@@ -33,8 +38,24 @@ LML_RTOL = 1e-7
 _LOG_LAM_BOUNDS = (np.log(1e-8), np.log(1e10))
 _LOG_LEN_BOUNDS = (np.log(1e-3), np.log(1e4))
 
-_trtrs, _potri, _potrs = scipy.linalg.get_lapack_funcs(("trtrs", "potri", "potrs"),
-                                                       dtype=np.float64)
+_trtrs, _potrs = scipy.linalg.get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
+
+
+def _capsule_function(capsule, restype, *argtypes):
+    """The C function a SciPy Cython API capsule holds, callable through ctypes."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    return ctypes.CFUNCTYPE(restype, *argtypes)(address)
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# LAPACK dpotri(uplo, n, a, lda, info) from scipy.linalg.cython_lapack.  A
+# CFUNCTYPE call releases the GIL, where the f2py `potri` holds it throughout,
+# so `fit`'s per-output workers overlap their potri calls.
+_dpotri = _capsule_function(cython_lapack.__pyx_capi__["dpotri"], None,
+                            ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, _INT_P)
 
 
 class IllConditionedDatasetError(RuntimeError):
@@ -218,6 +239,20 @@ def _cho_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     return alpha
 
 
+def _potri(L: np.ndarray) -> np.ndarray:
+    """K_y^{-1} over the lower triangle of its Cholesky factor L, in place
+    (LAPACK dpotri without the GIL); the upper triangle is left as it was."""
+    n = L.shape[0]
+    if not (L.dtype == np.float64 and L.shape == (n, n) and L.flags.f_contiguous
+            and L.flags.writeable):
+        raise ValueError("potri needs a writable Fortran-ordered float64 (n, n) factor")
+    size, info = ctypes.c_int(n), ctypes.c_int(0)
+    _dpotri(b"L", size, L.ctypes.data, size, info)
+    if info.value != 0:
+        raise scipy.linalg.LinAlgError(f"potri failed with info {info.value}")
+    return L
+
+
 def _lml_workspace(n: int):
     """The three (n, n) arrays one `_lml_and_grad` call writes into: K, the
     Fortran-ordered factor (then K_y^{-1}), and W o K."""
@@ -250,15 +285,14 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     # potri writes K_y^{-1} over L's lower triangle and leaves the upper one
     # as in L, all zeros, so one transposed sum mirrors it (doubling the
     # diagonal, which is then put back)
-    inv, info = _potri(L, lower=1, overwrite_c=1)
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"potri failed with info {info}")
+    inv = _potri(L)
     a_inv = np.add(inv, inv.T, out=WK_buf)
     np.fill_diagonal(a_inv, np.diagonal(inv))
     # K_y^{-1} is mirrored, so its buffer takes alpha alpha^T, written through
     # the C-ordered view inv.T: a_i a_j == a_j a_i exactly, and the writes
-    # are contiguous
-    WK = np.subtract(np.outer(alpha, alpha, out=inv.T), a_inv, out=WK_buf)
+    # are contiguous.  einsum, not np.outer: the broadcast multiply behind
+    # np.outer allocates a 128 KB iterator buffer on every call
+    WK = np.subtract(np.einsum("i,j->ij", alpha, alpha, out=inv.T), a_inv, out=WK_buf)
     trace_w = float(np.trace(WK))
     WK *= K
     grad = np.empty_like(theta)
@@ -275,6 +309,50 @@ def default_init_params(dataset: GpDataset) -> SeKernelParams:
     return SeKernelParams(lam=lam, lengthscales=ls)
 
 
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process, found through /proc/self/maps; [] where there is none or no map."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = dict.fromkeys(f[5].strip() for f in fields
+                          if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower())
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # unmapped since the map was read
+            continue
+        # scipy-openblas wheels prefix the names with scipy_ (and numpy's ILP64
+        # build suffixes them with 64_); a plain OpenBLAS has neither
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every OpenBLAS in the process on one thread inside the block, each
+    restored to its own count after it; yields whether any was found."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_threads in controls:
+            set_threads(1)
+        yield bool(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
 def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
         max_iter: int = 60, seed: int = 0) -> GpModel:
     """Fit per-output hyperparameters by multi-start L-BFGS on the LML.
@@ -282,10 +360,18 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     Each start stops at the LML's resolution, `LML_RTOL`.  The initialization
     is always evaluated and kept as the fallback, so the returned parameters
     never have a lower LML than `init`.  Each distinct theta is evaluated
-    once per output, all on one workspace, and the one pairwise-difference
-    array also serves the final factorization.
+    once per output, on that output's own workspace, and the one
+    pairwise-difference array also serves the final factorization.
+
+    Every OpenBLAS in the process runs on one thread until `fit` returns, so
+    the result does not depend on the BLAS thread count, and the outputs are
+    fitted side by side, one worker thread each (their `potri` calls release
+    the GIL).  Where no OpenBLAS can be pinned, the outputs are fitted one
+    after another on the calling thread.
     scipy.optimize is imported here, so runs that never fit do not load it.
     """
+    import concurrent.futures
+
     import scipy.optimize
 
     if dataset.n_samples < 2:
@@ -295,7 +381,6 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     sq_diffs = _pairwise_sq_diffs(dataset.inputs)
-    work = _lml_workspace(dataset.n_samples)
     noise_var = dataset.noise_std ** 2
     rng = np.random.default_rng(seed)
     theta0 = np.concatenate([[np.log(init.lam)], np.log(init.lengthscales)])
@@ -303,10 +388,15 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
     hi = np.array([_LOG_LAM_BOUNDS[1]] + [_LOG_LEN_BOUNDS[1]] * dataset.input_dim)
     theta0 = np.clip(theta0, lo, hi)
     bounds = list(zip(lo, hi))
+    # drawn up front, output by output, so the order of the draws does not
+    # depend on which worker runs first
+    starts = [[theta0] + [np.clip(theta0 + rng.normal(0.0, 1.0, size=theta0.size), lo, hi)
+                          for _ in range(n_starts - 1)]
+              for _ in range(dataset.n_outputs)]
 
-    params_out = []
-    for i in range(dataset.n_outputs):
+    def fit_output(i):
         y = dataset.targets[:, i]
+        work = _lml_workspace(dataset.n_samples)
         # L-BFGS-B asks again for thetas it evaluated (x, a trial step, x), and
         # start 0 begins at theta0.  The LML is deterministic in theta, so an
         # exact repeat is answered from here, with a copy of the gradient.
@@ -325,20 +415,23 @@ def fit(dataset: GpDataset, init: SeKernelParams, n_starts: int = 4,
 
         best_theta = theta0
         best_val = objective(theta0)[0]
-        starts = [theta0]
-        starts += [np.clip(theta0 + rng.normal(0.0, 1.0, size=theta0.size), lo, hi)
-                   for _ in range(n_starts - 1)]
-        for start in starts:
+        for start in starts[i]:
             res = scipy.optimize.minimize(objective, start, jac=True,
                                           method="L-BFGS-B", bounds=bounds,
                                           options={"maxiter": max_iter, "ftol": LML_RTOL})
             if np.isfinite(res.fun) and res.fun < best_val:
                 best_val = res.fun
                 best_theta = res.x
-        params_out.append(SeKernelParams(lam=float(np.exp(best_theta[0])),
-                                         lengthscales=np.exp(best_theta[1:])))
-    del work  # the final factorization needs no workspace: free its three (n, n) arrays
-    return _factorize(dataset, params_out, sq_diffs)
+        return SeKernelParams(lam=float(np.exp(best_theta[0])),
+                              lengthscales=np.exp(best_theta[1:]))
+
+    with _one_blas_thread() as pinned:
+        if pinned:
+            with concurrent.futures.ThreadPoolExecutor(dataset.n_outputs) as pool:
+                params_out = list(pool.map(fit_output, range(dataset.n_outputs)))
+        else:
+            params_out = [fit_output(i) for i in range(dataset.n_outputs)]
+        return _factorize(dataset, params_out, sq_diffs)
 
 
 def model_from_params(dataset: GpDataset, params_per_output) -> GpModel:

@@ -97,6 +97,30 @@ class TestTrainCommand:
         assert "gpfl: bad config" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # CI's short config; the thread count is read when OpenBLAS loads, so
+        # each fit runs in its own process
+        import os
+        import subprocess
+        import sys
+
+        from gpfl.gpr import _openblas_thread_controls
+        if not _openblas_thread_controls():
+            pytest.skip("no OpenBLAS found: the BLAS thread count cannot be set by "
+                        "OPENBLAS_NUM_THREADS, so there is nothing to compare")
+        config = tmp_path / "short.cfg"
+        config.write_text("duration = 5\ndownsample = 5\ngp_n_starts = 2\n")
+        models = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"train_{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gpfl", "train", "--config", str(config), "--out",
+                 str(out)], capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            models.append((out / "gp_model.txt").read_bytes())
+        assert models[0] == models[1]
+
 
 class TestExperimentCommand:
     def test_full_sweep(self, tmp_path, capsys):

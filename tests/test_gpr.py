@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -612,9 +613,12 @@ class TestFitEvaluatesEachThetaOnce:
         ds = _random_dataset(rng, n=n, dim=dim, n_outputs=n_outputs, noise_std=noise_std)
         init = default_init_params(ds)
         model = fit(ds, init, n_starts=n_starts, max_iter=30, seed=seed)
-        params, chols, alphas, jitters = fit_reference(
-            ds.inputs, ds.targets, noise_std, init.lam, init.lengthscales,
-            n_starts=n_starts, max_iter=30, seed=seed)
+        # at fit's one BLAS thread: the thread count moves LAPACK's rounding,
+        # already at n = 5
+        with gpr._one_blas_thread():
+            params, chols, alphas, jitters = fit_reference(
+                ds.inputs, ds.targets, noise_std, init.lam, init.lengthscales,
+                n_starts=n_starts, max_iter=30, seed=seed)
         for p, (lam, ls) in zip(model.params, params, strict=True):
             assert p.lam == lam
             np.testing.assert_array_equal(p.lengthscales, ls)
@@ -690,6 +694,105 @@ class TestStoppingRule:
             lml = _lml(ds, p, i)
             lml_default = _lml(ds, SeKernelParams(lam=lam, lengthscales=ls), i)
             assert abs(lml - lml_default) <= gpr.LML_RTOL * abs(lml_default), (lml, lml_default)
+
+
+class TestPotri:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60))
+    def test_lower_triangle_equals_the_f2py_potri(self, seed, n):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        L = scipy.linalg.cholesky(A @ A.T + n * np.eye(n), lower=True)
+        expected, info = scipy.linalg.lapack.dpotri(L, lower=1)
+        assert info == 0
+        got = gpr._potri(np.asfortranarray(L))
+        assert (np.tril(got).view(np.uint64) == np.tril(expected).view(np.uint64)).all()
+
+    def test_zero_on_the_diagonal_raises_naming_info(self):
+        L = np.asfortranarray(np.tril(np.ones((4, 4))))
+        L[2, 2] = 0.0
+        with pytest.raises(scipy.linalg.LinAlgError, match="info 3"):
+            gpr._potri(L)
+
+    def test_rejects_what_lapack_cannot_write_in_place(self):
+        read_only = np.eye(3, order="F")
+        read_only.flags.writeable = False
+        # C order (LAPACK would read the transpose), float32, not square, read-only
+        for L in (np.eye(3), np.eye(3, dtype=np.float32, order="F"),
+                  np.eye(3, order="F")[:, :2], read_only):
+            with pytest.raises(ValueError, match="Fortran-ordered float64"):
+                gpr._potri(L)
+
+
+def _blas_thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+class TestParallelFit:
+    def test_plain_loop_where_nothing_is_pinned_gives_the_same_bits(self, monkeypatch):
+        if not gpr._openblas_thread_controls():
+            pytest.skip("no OpenBLAS found in this process: fit always takes the plain loop")
+        ds = _random_dataset(np.random.default_rng(15), n=40, dim=3, n_outputs=2)
+        init = default_init_params(ds)
+        threads = {}  # which threads evaluated each output's LML, by its targets
+        lml_and_grad = gpr._lml_and_grad
+
+        def recording(sq_diffs, y, noise_var, theta, work):
+            threads.setdefault(y.tobytes(), set()).add(threading.get_ident())
+            return lml_and_grad(sq_diffs, y, noise_var, theta, work)
+        monkeypatch.setattr(gpr, "_lml_and_grad", recording)
+        threaded = fit(ds, init, n_starts=2, max_iter=30)
+        main = threading.get_ident()
+        assert len(threads) == ds.n_outputs
+        assert all(len(ids) == 1 and main not in ids for ids in threads.values())
+        threads.clear()
+        # pinned here, at the BLAS thread count fit's own pin would have set
+        with gpr._one_blas_thread():
+            monkeypatch.setattr(gpr, "_openblas_thread_controls", list)
+            looped = fit(ds, init, n_starts=2, max_iter=30)
+        assert all(ids == {main} for ids in threads.values())
+        for p, q in zip(threaded.params, looped.params, strict=True):
+            assert p.lam == q.lam
+            np.testing.assert_array_equal(p.lengthscales, q.lengthscales)
+        for a, b in itertools.chain(zip(threaded.chols, looped.chols, strict=True),
+                                    zip(threaded.alphas, looped.alphas, strict=True)):
+            np.testing.assert_array_equal(a, b)
+        assert threaded.jitters == looped.jitters
+
+    def test_each_blas_thread_count_is_restored(self, monkeypatch):
+        controls = gpr._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS found in this process")
+        ds = _random_dataset(np.random.default_rng(16), n=20, dim=2, n_outputs=2)
+        init = default_init_params(ds)
+        before = _blas_thread_counts(controls)
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            expected = _blas_thread_counts(controls)
+            during = []
+            lml_and_grad = gpr._lml_and_grad
+
+            def recording(*args):
+                during.append(_blas_thread_counts(controls))
+                return lml_and_grad(*args)
+            monkeypatch.setattr(gpr, "_lml_and_grad", recording)
+            fit(ds, init, n_starts=1, max_iter=5)
+            assert during and all(counts == [1] * len(controls) for counts in during)
+            assert _blas_thread_counts(controls) == expected
+
+            class Boom(Exception):
+                pass
+
+            def failing(*args):
+                raise Boom
+            monkeypatch.setattr(gpr, "_lml_and_grad", failing)
+            with pytest.raises(Boom):
+                fit(ds, init, n_starts=1, max_iter=5)
+            assert _blas_thread_counts(controls) == expected
+        finally:
+            for (_, set_threads), count in zip(controls, before):
+                set_threads(count)
 
 
 class TestStableCholesky:
