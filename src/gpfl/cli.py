@@ -9,11 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gpr
 from .config import ExperimentConfig, load_config, save_config
 from .control import VARIANTS
-from .harness import (run_experiment, run_tracking, train_gp, validate,
-                      write_trace_csv)
+from .harness import (run_experiment, run_tracking, summary_text, train_gp, validate,
+                      write_gp_files, write_trace_csv)
 
 
 def _load(args) -> ExperimentConfig:
@@ -75,15 +74,14 @@ def _cmd_train(config: ExperimentConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     gp, dataset, _ = train_gp(config)
-    gpr.save_dataset_csv(dataset, out / "gp_dataset.csv")
-    gpr.save_model_txt(gp, out / "gp_model.txt", dataset_ref="gp_dataset.csv")
+    paths = write_gp_files(out, gp)
     save_config(config, out / "config.txt")
     print(f"trained GP on {dataset.n_samples} samples "
           f"({dataset.input_dim} input dims, {dataset.n_outputs} outputs)")
     for i, p in enumerate(gp.params, start=1):
         print(f"  output {i}: lambda={p.lam:.6g}, "
               f"lengthscales={np.array2string(p.lengthscales, precision=4)}")
-    print(f"wrote {out / 'gp_dataset.csv'} and {out / 'gp_model.txt'}")
+    print("wrote {} and {}".format(*paths))
     return 0
 
 
@@ -94,8 +92,7 @@ def _cmd_run(config: ExperimentConfig, seed: int, controller: str) -> int:
     if result.status != "ok":
         print(f"gpfl: run failed: {result.status}", file=sys.stderr)
         return 1
-    path = out / f"trace_{controller}_{seed}.csv"
-    write_trace_csv(path, result)
+    path = write_trace_csv(out, result)
     print(f"{controller} seed {seed}: rmse per joint "
           f"{result.rmse_joints_deg[0]:.3f} / {result.rmse_joints_deg[1]:.3f} deg, "
           f"avg {result.rmse_avg_deg:.3f} deg")
@@ -105,10 +102,8 @@ def _cmd_run(config: ExperimentConfig, seed: int, controller: str) -> int:
 
 def _cmd_experiment(config: ExperimentConfig) -> int:
     summary = run_experiment(config)
-    out = Path(config.out_dir)
-    # summary.txt holds the table and a FAILED line per aborted run
-    print((out / "summary.txt").read_text(), end="")
-    print(f"wrote {out / 'summary.csv'} and traces under {out}/")
+    print(summary_text(summary), end="")
+    print(f"wrote the summary and traces under {Path(config.out_dir)}/")
     return 1 if any(r.status != "ok" for r in summary.results) else 0
 
 

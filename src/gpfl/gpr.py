@@ -3,9 +3,9 @@
 Learns the N-output model-mismatch torque as N independent GPs over the
 3N-dimensional location (q, dq, ddq).  Hyperparameters are fitted by
 multi-start maximization of the log marginal likelihood over log-parameters
-with analytic gradients.  Also provides the confidence-interval machinery
-the robust controller consumes: the rho bound, a greedy information-gain
-estimate and the lemma-style beta.
+with analytic gradients.  The robust controller consumes the rho bound; a
+greedy information-gain estimate and the lemma-style beta are here for the
+library's callers, and nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import ctypes
 import itertools
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +81,16 @@ class SeKernelParams:
 
 @dataclass
 class GpDataset:
-    """Training inputs (n x 3N), mismatch targets (n x N) and noise level."""
+    """Training inputs (n x 3N), mismatch targets (n x N) and noise level; both
+    arrays are stored C-contiguous, so equal values give equal fitted bits."""
 
     inputs: np.ndarray
     targets: np.ndarray
     noise_std: float = 0.0
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        self.inputs = np.atleast_2d(np.ascontiguousarray(self.inputs, dtype=float))
+        self.targets = np.atleast_2d(np.ascontiguousarray(self.targets, dtype=float))
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ValueError("inputs and targets must have one row per sample")
         if self.inputs.shape[0] < 1:
@@ -577,20 +577,22 @@ def beta_from_lemma(rkhs_norm_bound, gamma: float, n: int, delta: float):
     return float(beta) if beta.ndim == 0 else beta
 
 
-def save_dataset_csv(dataset: GpDataset, path) -> None:
-    """CSV export: noise level comment, named columns, one row per sample.
+def dataset_header(n_joints: int, n_outputs: int) -> list:
+    """The dataset CSV's columns: q<j>, dq<j>, ddq<j> for each joint, then e<i>."""
+    return ([f"{kind}{j}" for kind in ("q", "dq", "ddq") for j in range(1, n_joints + 1)]
+            + [f"e{i}" for i in range(1, n_outputs + 1)])
 
-    Inputs are named q<j>, dq<j>, ddq<j>; a count not a multiple of 3 is a ValueError.
+
+def save_dataset_csv(dataset: GpDataset, path) -> None:
+    """CSV export: noise level comment, `dataset_header` columns, one row per sample.
+
+    An input count that is not a multiple of 3 is a ValueError.
     """
     if dataset.input_dim % 3:
         raise ValueError(f"input_dim {dataset.input_dim} is not a multiple of 3: the CSV "
                          "names the inputs q<j>, dq<j>, ddq<j> for each joint j")
-    n_j = dataset.input_dim // 3
-    names = ([f"q{j + 1}" for j in range(n_j)]
-             + [f"dq{j + 1}" for j in range(n_j)]
-             + [f"ddq{j + 1}" for j in range(n_j)]
-             + [f"e{i + 1}" for i in range(dataset.n_outputs)])
-    write_table(path, names, [dataset.inputs, dataset.targets],
+    write_table(path, dataset_header(dataset.input_dim // 3, dataset.n_outputs),
+                [dataset.inputs, dataset.targets],
                 preamble=f"# noise_std={FLOAT % dataset.noise_std}\n")
 
 
@@ -602,9 +604,9 @@ def _number(path, lineno: int, name: str, raw: str, kind=float):
 
 
 def load_dataset_csv(path) -> GpDataset:
-    """Inverse of save_dataset_csv: q/dq/ddq<j> inputs, e<i> targets, nothing else."""
-    noise_std = 0.0
-    header = None
+    """Inverse of save_dataset_csv: at most one `# noise_std=` line, then the
+    `dataset_header` of at least one joint and one output, then the rows."""
+    noise_std = header = None
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -613,16 +615,20 @@ def load_dataset_csv(path) -> GpDataset:
                 continue
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
-                if key.strip() == "noise_std":
-                    noise_std = _number(path, lineno, "noise_std", value)
+                if key.strip() != "noise_std":
+                    continue
+                if header is not None:
+                    raise ValueError(f"{path}:{lineno}: noise_std must come before the header")
+                if noise_std is not None:
+                    raise ValueError(f"{path}:{lineno}: duplicate key 'noise_std'")
+                noise_std = _number(path, lineno, "noise_std", value)
                 continue
             if header is None:
                 header = [name.strip() for name in line.split(",")]
-                # only the names, in the order, that save_dataset_csv writes: the
-                # column order is the GP's input order
-                counts = Counter(name.rstrip("0123456789") for name in header)
-                expected = [f"{kind}{k}" for kind in ("q", "dq", "ddq", "e")
-                            for k in range(1, counts[kind] + 1)]
+                # the column order is the GP's input order
+                n_outputs = sum(name.startswith("e") for name in header)
+                n_joints = (len(header) - n_outputs) // 3
+                expected = dataset_header(max(n_joints, 1), max(n_outputs, 1))
                 if header != expected:
                     raise ValueError(f"{path}:{lineno}: columns {','.join(header)} "
                                      f"are not in the order {','.join(expected)}")
@@ -635,12 +641,8 @@ def load_dataset_csv(path) -> GpDataset:
     if header is None or not rows:
         raise ValueError(f"no data rows in {path}")
     data = np.array(rows)
-    target_cols = [i for i, name in enumerate(header) if name[0] == "e"]
-    input_cols = [i for i in range(len(header)) if i not in target_cols]
-    if not target_cols:
-        raise ValueError(f"no target columns (e*) in {path}")
-    return GpDataset(inputs=data[:, input_cols], targets=data[:, target_cols],
-                     noise_std=noise_std)
+    return GpDataset(inputs=data[:, :3 * n_joints], targets=data[:, 3 * n_joints:],
+                     noise_std=0.0 if noise_std is None else noise_std)
 
 
 def save_model_txt(model: GpModel, path, dataset_ref: str = "") -> None:

@@ -178,25 +178,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     out.mkdir(parents=True, exist_ok=True)
     model = config.make_model()
     nominal = config.make_nominal(model)
-    gains = config.make_gains()
-    terms = [TERMS[c] for c in config.controllers]
-
     gp = None
-    if any(add_mean for add_mean, _ in terms):
-        gp, dataset, _ = train_gp(config, model, nominal)
-        gpr.save_dataset_csv(dataset, out / "gp_dataset.csv")
-        gpr.save_model_txt(gp, out / "gp_model.txt", dataset_ref="gp_dataset.csv")
-    lyapunov = (design_lyapunov(gains, model.n_joints)
-                if any(add_w for _, add_w in terms) else None)
+    if any(TERMS[name][0] for name in config.controllers):  # a law adds the GP mean
+        gp, _, _ = train_gp(config, model, nominal)
+        write_gp_files(out, gp)
 
     results = []
     for seed in config.eval_seeds:
         for controller in config.controllers:
             result = run_tracking(config, controller, seed, model=model,
-                                  nominal=nominal, gp=gp, lyapunov=lyapunov)
+                                  nominal=nominal, gp=gp)
             results.append(result)
             if result.trace is not None:
-                write_trace_csv(out / f"trace_{controller}_{seed}.csv", result)
+                write_trace_csv(out, result)
                 write_plotdata(out, result)
     summary = summarize(results, config.controllers)
     write_summary_csv(out / "summary.csv", summary)
@@ -204,8 +198,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     return summary
 
 
-def write_trace_csv(path, result: RunResult) -> None:
-    """Per-tick trace; GP/robust columns are nan for the other variants."""
+def write_gp_files(out_dir, gp) -> tuple:
+    """Write the GP's dataset and model files into `out_dir`; returns both paths."""
+    dataset_path, model_path = Path(out_dir) / "gp_dataset.csv", Path(out_dir) / "gp_model.txt"
+    gpr.save_dataset_csv(gp.dataset, dataset_path)
+    gpr.save_model_txt(gp, model_path, dataset_ref=dataset_path.name)
+    return dataset_path, model_path
+
+
+def write_trace_csv(out_dir, result: RunResult) -> Path:
+    """Per-tick trace into `out_dir`, named for its run; returns its path.  The
+    GP/robust columns are nan for the other variants."""
+    path = Path(out_dir) / f"trace_{result.controller}_{result.seed}.csv"
     trace, ref = result.trace, result.reference
     n, n_j = trace.q.shape
     diagnostics = result.diagnostics
@@ -218,6 +222,7 @@ def write_trace_csv(path, result: RunResult) -> None:
     for name, arr in series.items():
         names.extend([name] if arr.ndim == 1 else [f"{name}{j + 1}" for j in range(n_j)])
     write_table(path, names, [trace.times, *series.values()])
+    return path
 
 
 def write_plotdata(out_dir, result: RunResult) -> None:
@@ -246,17 +251,20 @@ def write_summary_csv(path, summary: RunSummary) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def write_summary_txt(path, summary: RunSummary) -> None:
-    """Human-readable mean +/- std table over the evaluation seeds."""
+def summary_text(summary: RunSummary) -> str:
+    """Mean +/- std table over the evaluation seeds, a FAILED line per aborted run."""
     lines = [f"{'controller':<12}{'rmse_deg (mean +/- std)':>28}{'runs':>10}"]
     for name, st in summary.stats.items():
         runs = f"{st.n_ok}/{st.n_ok + st.n_failed}"
         lines.append(f"{name:<12}{st.mean_rmse_deg:>16.3f} +/- {st.std_rmse_deg:<8.3f}{runs:>9}")
-    failed = [r for r in summary.results if r.status != "ok"]
-    for r in failed:
-        lines.append(f"FAILED {r.controller} seed {r.seed}: {r.status}")
+    lines.extend(f"FAILED {r.controller} seed {r.seed}: {r.status}"
+                 for r in summary.results if r.status != "ok")
+    return "\n".join(lines) + "\n"
+
+
+def write_summary_txt(path, summary: RunSummary) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(summary_text(summary))
 
 
 def validate(config: ExperimentConfig | None = None, seed: int = 0,

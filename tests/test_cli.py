@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gpfl import harness
 from gpfl.cli import main
 from gpfl.config import ExperimentConfig, save_config
+from gpfl.gpr import load_dataset_csv, load_model_txt, model_from_params
 
 
 def _write_config(tmp_path, **overrides):
@@ -80,6 +82,26 @@ class TestTrainCommand:
         assert (out_dir / "config.txt").is_file()
         out = capsys.readouterr().out
         assert "trained GP on 10 samples" in out
+
+    def test_model_rebuilt_from_its_files_is_the_fitted_model(self, tmp_path, monkeypatch):
+        # the fitted GP is caught on its way out of the fit `gpfl train` runs
+        fitted, harness_fit = [], harness.fit
+
+        def recording_fit(*args, **kwargs):
+            fitted.append(harness_fit(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        config = _write_config(tmp_path, duration=20.0, gp_n_starts=1)
+        assert main(["train", "--config", config]) == 0
+        out_dir = tmp_path / "results"
+        params, meta = load_model_txt(out_dir / "gp_model.txt")
+        rebuilt = model_from_params(load_dataset_csv(out_dir / meta["dataset"]), params)
+        (gp,) = fitted
+        assert rebuilt.jitters == gp.jitters
+        for ours, theirs in ((rebuilt.alphas, gp.alphas), (rebuilt.chols, gp.chols)):
+            for a, b in zip(ours, theirs, strict=True):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("line", [
         "gp_n_starts = 0", "training_seed = -1", "eval_seeds = 0,-1",

@@ -1030,6 +1030,22 @@ class TestSerialization:
             save_dataset_csv(ds, path)
         assert not path.exists()
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 4), n_joints=st.integers(1, 3), n_outputs=st.integers(1, 3),
+           noise_std=st.floats(0.0, 1e3), data=st.data())
+    def test_every_written_dataset_loads_back_equal(self, tmp_path_factory, n, n_joints,
+                                                     n_outputs, noise_std, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        ds = GpDataset(inputs=data.draw(arrays(float, (n, 3 * n_joints), elements=finite)),
+                       targets=data.draw(arrays(float, (n, n_outputs), elements=finite)),
+                       noise_std=noise_std)
+        path = tmp_path_factory.mktemp("round_trip") / "ds.csv"
+        save_dataset_csv(ds, path)
+        loaded = load_dataset_csv(path)
+        assert loaded.inputs.tobytes() == ds.inputs.tobytes()
+        assert loaded.targets.tobytes() == ds.targets.tobytes()
+        assert loaded.noise_std == ds.noise_std
+
     def test_load_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# noise_std=0\nq1,e1\n")
@@ -1050,17 +1066,35 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.targets, [[0.4, 0.5]])
 
     @pytest.mark.parametrize("text, message", [
-        ("q1,e1\n0.1,abc\n", ":2: e1 is not a number: 'abc'"),
+        ("q1,dq1,ddq1,e1\n0.1,0.2,0.3,abc\n", ":2: e1 is not a number: 'abc'"),
         ("# noise_std=x\nq1,e1\n0.1,0.2\n", ":1: noise_std is not a number: 'x'"),
-        ("q1,e1\n0.1,0.2\n0.3\n", ":3: 1 values for 2 columns"),
-        ("q1,e1\n0.1,0.2,0.3\n", ":2: 3 values for 2 columns"),
-        ("# noise_std=nan\nq1,e1\n0.1,0.2\n", "noise_std must be nonnegative"),
+        ("q1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n0.3\n", ":3: 1 values for 4 columns"),
+        ("q1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4,0.5\n", ":2: 5 values for 4 columns"),
+        ("# noise_std=nan\nq1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n", "noise_std must be nonnegative"),
         # input columns must come in save_dataset_csv's order, which the GP's inputs keep
-        ("dq1,q1,e1\n0.1,0.2,0.3\n", ":1: columns dq1,q1,e1 are not in the order q1,dq1,e1"),
-        ("q1,q1,e1\n0.1,0.2,0.3\n", ":1: columns q1,q1,e1 are not in the order q1,q2,e1"),
-        ("e1,q1\n0.1,0.2\n", ":1: columns e1,q1 are not in the order q1,e1"),
-        ("# noise_std=0\nq2,q1,e1\n0.1,0.2,0.3\n",
-         ":2: columns q2,q1,e1 are not in the order q1,q2,e1"),
+        ("dq1,q1,ddq1,e1\n0.1,0.2,0.3,0.4\n",
+         ":1: columns dq1,q1,ddq1,e1 are not in the order q1,dq1,ddq1,e1"),
+        ("q1,q1,dq1,dq2,ddq1,ddq2,e1\n0.1,0.2,0.3,0.4,0.5,0.6,0.7\n",
+         ":1: columns q1,q1,dq1,dq2,ddq1,ddq2,e1 are not in the order q1,q2,dq1,dq2,ddq1,ddq2,e1"),
+        ("e1,q1,dq1,ddq1\n0.1,0.2,0.3,0.4\n",
+         ":1: columns e1,q1,dq1,ddq1 are not in the order q1,dq1,ddq1,e1"),
+        ("# noise_std=0\nq2,q1,dq1,dq2,ddq1,ddq2,e1\n0.1,0.2,0.3,0.4,0.5,0.6,0.7\n",
+         ":2: columns q2,q1,dq1,dq2,ddq1,ddq2,e1 are not in the order q1,q2,dq1,dq2,ddq1,ddq2,e1"),
+        # only the layout save_dataset_csv writes: at least one joint's q/dq/ddq triple
+        # and one output
+        ("e1\n0.1\n", ":1: columns e1 are not in the order q1,dq1,ddq1,e1"),
+        ("q1,e1\n0.1,0.2\n", ":1: columns q1,e1 are not in the order q1,dq1,ddq1,e1"),
+        ("q1,q2,dq1,ddq1,e1\n0.1,0.2,0.3,0.4,0.5\n",
+         ":1: columns q1,q2,dq1,ddq1,e1 are not in the order q1,dq1,ddq1,e1"),
+        ("q1,dq1,ddq1\n0.1,0.2,0.3\n",
+         ":1: columns q1,dq1,ddq1 are not in the order q1,dq1,ddq1,e1"),
+        # one noise level, said before the header
+        ("# noise_std=0.1\n# noise_std=0.5\nq1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n",
+         ":2: duplicate key 'noise_std'"),
+        ("q1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n# noise_std=0.7\n0.5,0.6,0.7,0.8\n",
+         ":3: noise_std must come before the header"),
+        ("# noise_std=0.1\nq1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n# noise_std=0.7\n",
+         ":4: noise_std must come before the header"),
     ])
     def test_load_names_the_bad_line(self, tmp_path, text, message):
         path = tmp_path / "ds.csv"
@@ -1158,6 +1192,14 @@ class TestSerialization:
 
 
 class TestDatasetValidation:
+    def test_arrays_are_stored_c_contiguous(self):
+        # column slices of a Fortran-ordered table; the fitted bits depend on the
+        # memory order the kernel sums in
+        data = np.asfortranarray(np.arange(28.0).reshape(4, 7))
+        ds = GpDataset(inputs=data[:, :6], targets=data[:, 6:])
+        assert ds.inputs.flags.c_contiguous and ds.targets.flags.c_contiguous
+        np.testing.assert_array_equal(ds.inputs, data[:, :6])
+
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
             GpDataset(inputs=np.zeros((3, 6)), targets=np.zeros((2, 2)))
