@@ -16,6 +16,7 @@ The law is a pure function; per-tick state lives in the simulation loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +138,12 @@ def control(spec: ControllerSpec, nominal, q: np.ndarray, dq: np.ndarray,
         return tau
 
     rho, _ = gpr.rho_from_mean_var(mean, variance, spec.beta)
-    if not np.isfinite(rho):
+    if not math.isfinite(rho):
         raise FloatingPointError("rho bound is non-finite")
     n = len(q_err)
     xi = np.concatenate([q_err, dq_err])
     z = nominal.apply_inverse(q, spec.lyapunov[n:, :] @ xi)
-    z_norm = float(np.linalg.norm(z))
+    z_norm = math.sqrt(z @ z)  # what np.linalg.norm computes for a real vector
     if z_norm >= spec.epsilon and z_norm > 0.0:
         w = rho * z / z_norm
     elif spec.epsilon > 0.0:

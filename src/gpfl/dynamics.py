@@ -23,9 +23,11 @@ from typing import Callable
 
 import numpy as np
 
+_cos, _sin = math.cos, math.sin  # bound once: `_accel` runs 40 times per control tick
+
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """An inertia-style matrix failed its SPD factorization; a run that hits it aborts."""
+    """An inertia-style matrix is not positive definite; a run that hits it aborts."""
 
 
 class SimulationAborted(RuntimeError):
@@ -182,7 +184,8 @@ def inverse_dynamics(model: ManipulatorModel, q, dq, ddq) -> np.ndarray:
 
 
 def forward_dynamics(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
-    """Joint accelerations from applied torque, via an SPD (Cholesky) solve."""
+    """Joint accelerations from applied torque: M(q) ddq = r solved in closed form,
+    after M(q) is checked positive definite."""
     return np.array(_accel(model, *_finite_floats(model, q, "q"),
                            *_finite_floats(model, dq, "dq"),
                            *_finite_floats(model, tau, "torque")))
@@ -238,29 +241,23 @@ def _accel(model: ManipulatorModel, q1: float, q2: float, dq1: float, dq2: float
     # The single dynamics kernel, on Python floats: simulate's RK4 calls it
     # four times per substep and forward_dynamics wraps it for arrays.
     a, b, c, g1c, g2c = model._coeffs
-    c2 = math.cos(q2)
-    h = b * math.sin(q2)
+    c2 = _cos(q2)
+    h = b * _sin(q2)
 
     m11 = a + 2.0 * b * c2
     m12 = c + b * c2
-    g12 = g2c * math.cos(q1 + q2)
-    r1 = tau1 + h * (2.0 * dq1 * dq2 + dq2 * dq2) - g1c * math.cos(q1) - g12
+    g12 = g2c * _cos(q1 + q2)
+    r1 = tau1 + h * dq2 * (2.0 * dq1 + dq2) - g1c * _cos(q1) - g12
     r2 = tau2 - h * dq1 * dq1 - g12
 
-    # 2x2 Cholesky solve; failure means M(q) is not positive definite.
-    if m11 <= 0.0:
+    # M(q) = [[m11, m12], [m12, c]] solved by its closed-form inverse.  A
+    # symmetric 2x2 matrix is positive definite iff its leading minors m11
+    # and det are positive; a NaN passes both tests and is left to
+    # simulate's finiteness check.
+    det = m11 * c - m12 * m12
+    if m11 <= 0.0 or det <= 0.0:
         raise NotPositiveDefiniteError("inertia matrix is not positive definite")
-    l11 = math.sqrt(m11)
-    l21 = m12 / l11
-    d = c - l21 * l21
-    if d <= 0.0:
-        raise NotPositiveDefiniteError("inertia matrix is not positive definite")
-    l22 = math.sqrt(d)
-    y1 = r1 / l11
-    y2 = (r2 - l21 * y1) / l22
-    x2 = y2 / l22
-    x1 = (y1 - l21 * x2) / l11
-    return x1, x2
+    return (c * r1 - m12 * r2) / det, (m11 * r2 - m12 * r1) / det
 
 
 @dataclass

@@ -13,9 +13,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
+import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -121,7 +122,9 @@ class GpModel:
     Immutable after fit; predict only reads from it.  The factors and weights
     are validated once here, so predict need not rescan them per query: each
     factor is a finite, Fortran-ordered (n, n) array with a positive
-    diagonal, each weight vector a finite (n,) array.
+    diagonal, each weight vector a finite (n,) array.  `se_weights` holds each
+    output's -1/lengthscale^2, the vector `_se` multiplies the squared
+    differences by, computed once for `predict`.
     """
 
     dataset: GpDataset
@@ -129,6 +132,7 @@ class GpModel:
     alphas: tuple
     chols: tuple
     jitters: tuple
+    se_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dataset.n_samples
@@ -149,6 +153,8 @@ class GpModel:
                 raise ValueError(f"weights {i} are not finite")
         object.__setattr__(self, "chols", chols)
         object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "se_weights",
+                           tuple(-1.0 / p.lengthscales ** 2 for p in self.params))
 
     @property
     def n_outputs(self) -> int:
@@ -174,6 +180,7 @@ def _se(sq_diffs: np.ndarray, lam, lengthscales: np.ndarray, out=None) -> np.nda
 
     With `out` every step writes into it, so no temporary of the result's
     shape is made.  Negating the weights instead of the product is exact.
+    `predict` repeats these two steps on `GpModel.se_weights`, bit for bit.
     """
     k = np.matmul(sq_diffs, -1.0 / lengthscales ** 2, out=out)
     return np.multiply(lam, np.exp(k, out=out), out=out)
@@ -470,13 +477,15 @@ def predict(model: GpModel, x):
     v = np.asarray(x, dtype=float)
     if v.shape != (model.input_dim,):
         raise ValueError("query dimension does not match the training inputs")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise FloatingPointError("GP query is not finite")
-    sq_diffs = (model.dataset.inputs - v) ** 2
+    sq_diffs = model.dataset.inputs - v
+    np.square(sq_diffs, out=sq_diffs)
     means = np.empty(model.n_outputs)
     variances = np.empty(model.n_outputs)
-    for i, p in enumerate(model.params):
-        k_star = _se(sq_diffs, p.lam, p.lengthscales)
+    for i, (p, weights) in enumerate(zip(model.params, model.se_weights)):
+        k_star = np.matmul(sq_diffs, weights)
+        k_star = np.multiply(p.lam, np.exp(k_star, out=k_star), out=k_star)
         means[i] = float(k_star @ model.alphas[i])
         # what solve_triangular runs for a Fortran-ordered factor, minus its
         # per-call finiteness scan of L (GpModel checked L once)
@@ -605,7 +614,8 @@ def _number(path, lineno: int, name: str, raw: str, kind=float):
 
 def load_dataset_csv(path) -> GpDataset:
     """Inverse of save_dataset_csv: at most one `# noise_std=` line, then the
-    `dataset_header` of at least one joint and one output, then the rows."""
+    `dataset_header` of at least one joint and one output, then the rows.
+    Any other `#` line is an error naming its line."""
     noise_std = header = None
     rows = []
     with open(path) as fh:
@@ -616,7 +626,8 @@ def load_dataset_csv(path) -> GpDataset:
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
                 if key.strip() != "noise_std":
-                    continue
+                    raise ValueError(f"{path}:{lineno}: comment line {line!r}; the only "
+                                     "one read is '# noise_std=<value>' before the header")
                 if header is not None:
                     raise ValueError(f"{path}:{lineno}: noise_std must come before the header")
                 if noise_std is not None:

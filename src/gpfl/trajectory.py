@@ -9,11 +9,14 @@ seed fully determines the trajectory on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import ManipulatorModel, tick_times
 from .gpr import GpDataset, mismatch_targets
+
+GRID_BLOCK = 1024  # ticks per `sample_reference` block
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,15 @@ class SinusoidSpec:
     @property
     def n_joints(self) -> int:
         return self.frequencies.shape[0]
+
+    @cached_property
+    def squared_frequencies(self) -> np.ndarray:
+        return self.frequencies * self.frequencies
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        # (3, 1) factors of the position, velocity and acceleration sums
+        return np.array([[self.amplitude], [self.amplitude], [-self.amplitude]])
 
 
 @dataclass
@@ -65,23 +77,30 @@ def evaluate(spec: SinusoidSpec, t):
     """Reference position, velocity and acceleration at time t.
 
     A scalar t gives one value per joint; t of shape (n, 1, 1) gives (n, J)
-    arrays, one row per time.  Each product is written over the temporary it
-    reads, so a grid needs two arrays of the phases' (n, J, N_s) shape, not four.
+    arrays, one row per time.  The three sums' terms, sin, w cos and w^2 sin
+    of the phases, share one buffer that is summed once; the results are its
+    rows, handed out as a tuple because a tick unpacks a tuple faster than
+    an array.
     """
     w = spec.frequencies
     wt = w * t
-    s = np.sin(wt)
-    c = np.cos(wt, out=wt)
-    q = spec.amplitude * s.sum(axis=-1)
-    dq = spec.amplitude * np.multiply(w, c, out=c).sum(axis=-1)
-    ddq = -spec.amplitude * np.multiply(w * w, s, out=s).sum(axis=-1)
-    return q, dq, ddq
+    terms = np.empty((3,) + wt.shape)
+    np.sin(wt, out=terms[0])
+    np.multiply(w, np.cos(wt, out=terms[1]), out=terms[1])
+    np.multiply(spec.squared_frequencies, terms[0], out=terms[2])
+    sums = np.add.reduce(terms, axis=-1)
+    sums *= spec.scales if sums.ndim == 2 else spec.scales[:, None]
+    return sums[0], sums[1], sums[2]
 
 
 def sample_reference(spec: SinusoidSpec, duration: float, rate: float) -> ReferenceTrajectory:
-    """Evaluate the reference on the control-tick grid `tick_times(duration, rate)`."""
+    """Evaluate the reference on the control-tick grid `tick_times(duration, rate)`,
+    `GRID_BLOCK` ticks at a time, so its temporaries do not grow with the grid."""
     times = tick_times(duration, rate)
-    q, dq, ddq = evaluate(spec, times[:, None, None])
+    q, dq, ddq = np.empty((3, len(times), spec.n_joints))
+    for start in range(0, len(times), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        q[block], dq[block], ddq[block] = evaluate(spec, times[block, None, None])
     return ReferenceTrajectory(times=times, q=q, dq=dq, ddq=ddq)
 
 

@@ -343,9 +343,13 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_abort_on_divergent_state(self):
-        with pytest.raises(SimulationAborted):
+        # the state overflows to inf within the first tick's substeps, and
+        # math.cos(inf) raises before the state can turn NaN
+        with pytest.raises(SimulationAborted) as exc:
             simulate(UNIT_RODS, lambda k, t, q, dq: np.array([1e250, -1e250]),
                      np.zeros(2), np.zeros(2), 1.0, 100.0)
+        assert exc.value.tick == 0
+        assert exc.value.reason == "integration raised ValueError: math domain error"
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -332,6 +332,28 @@ class TestPredictMatchesReference:
         for x in queries:
             assert _outcome(predict, model, x) == _outcome(predict_reference, model, x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 300),
+           dim=st.integers(1, 6), n_outputs=st.integers(1, 2))
+    def test_bitwise_equal_to_se_and_trtrs(self, seed, n, dim, n_outputs):
+        # predict's kernel runs on the weights GpModel caches; it must give
+        # the bits of `_se` on the lengthscales, then one `_trtrs` per output
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, n=n, dim=dim, n_outputs=n_outputs, noise_std=0.05)
+        params = [SeKernelParams(lam=float(rng.uniform(0.3, 3.0)),
+                                 lengthscales=rng.uniform(0.3, 3.0, dim))
+                  for _ in range(n_outputs)]
+        model = model_from_params(ds, params)
+        for x in rng.uniform(-2.0, 2.0, (5, dim)):
+            sq_diffs = (ds.inputs - x) ** 2
+            expected = np.empty((2, n_outputs))
+            for i, p in enumerate(params):
+                k_star = gpr._se(sq_diffs, p.lam, p.lengthscales)
+                w, _ = gpr._trtrs(model.chols[i], k_star, lower=1)
+                expected[:, i] = float(k_star @ model.alphas[i]), max(p.lam - float(w @ w), 0.0)
+            got = np.array(predict(model, x))
+            assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
 
 class TestPredictRows:
     # the robust record's tolerance for the GP mean and variance
@@ -1095,6 +1117,12 @@ class TestSerialization:
          ":3: noise_std must come before the header"),
         ("# noise_std=0.1\nq1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n# noise_std=0.7\n",
          ":4: noise_std must come before the header"),
+        # and no other comment line: a mistyped key would load as noise 0
+        ("q1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n# noise=0.7\n0.5,0.6,0.7,0.8\n",
+         ":3: comment line '# noise=0.7'"),
+        ("# fitted\n# noise_std=0.1\nq1,dq1,ddq1,e1\n0.1,0.2,0.3,0.4\n",
+         ":1: comment line '# fitted'"),
+        ("# noise_std=0.1\nq1,dq1,ddq1,e1\n#\n0.1,0.2,0.3,0.4\n", ":3: comment line '#'"),
     ])
     def test_load_names_the_bad_line(self, tmp_path, text, message):
         path = tmp_path / "ds.csv"

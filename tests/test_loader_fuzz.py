@@ -8,12 +8,12 @@ line, never a traceback.
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from gpfl.cli import main
 from gpfl.config import ExperimentConfig, load_config
-from gpfl.gpr import load_dataset_csv, load_model_txt
+from gpfl.gpr import dataset_header, load_dataset_csv, load_model_txt
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 DATASET_HEADERS = ["q1", "q2", "dq1", "dq2", "ddq1", "ddq2", "e1", "e2", "x"]
@@ -21,6 +21,7 @@ MODEL_KEYS = (["n_outputs", "n_samples", "input_dim", "noise_std"]
               + [f"output{i}.{name}" for i in (1, 2)
                  for name in ("lambda", "lengthscale1", "lengthscale2", "jitter")])
 
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 # numbers, near-numbers and separators the parsers split on
 TOKENS = st.one_of(st.sampled_from(["0", "1", "-1", "2.5", "1e3", "1e999", "nan",
                                     "inf", "abc", "", " ", ",", "=", "#", "1,2"]),
@@ -34,14 +35,29 @@ def _lines(keys, sep):
     return st.lists(line, max_size=8).map("\n".join)
 
 
-def _csv_text():
-    """An optional noise comment, a header, then rows of any width; or any text."""
-    comment = TOKENS.map(lambda v: f"# noise_std={v}")
-    header = st.lists(st.sampled_from(DATASET_HEADERS), min_size=1, max_size=4).map(",".join)
-    row = st.lists(TOKENS, min_size=1, max_size=4).map(",".join)
-    layout = st.tuples(st.lists(comment, max_size=1), header, st.lists(row, max_size=3))
-    return st.one_of(layout.map(lambda parts: "\n".join([*parts[0], parts[1], *parts[2]])),
-                     st.text())
+@st.composite
+def _csv_text(draw):
+    """An optional noise comment, a header, then up to three rows; or any text.
+
+    Most headers are `dataset_header`s of 1-2 joints and 1-2 outputs, with
+    mostly rows of numbers of their width, so rows get parsed and the file
+    often loads; the rest are 1-4 names from nine, with rows of any tokens.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text())
+    comment = st.one_of(st.floats(0.0, 1e300).map(repr), TOKENS).map(lambda v: f"# noise_std={v}")
+    if draw(st.integers(0, 3)):
+        names = dataset_header(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        width = len(names)
+        numbers = st.lists(NUMBERS, min_size=width, max_size=width)
+        anything = st.lists(st.one_of(NUMBERS, TOKENS), min_size=1, max_size=width + 1)
+    else:
+        names = draw(st.lists(st.sampled_from(DATASET_HEADERS), min_size=1, max_size=4))
+        numbers = anything = st.lists(TOKENS, min_size=1, max_size=4)
+    rows = [draw(numbers if draw(st.integers(0, 3)) else anything)
+            for _ in range(draw(st.integers(0, 3)))]
+    return "\n".join([*draw(st.lists(comment, max_size=1)), ",".join(names),
+                      *map(",".join, rows)])
 
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -80,7 +96,8 @@ def test_config_loads_or_raises_value_error(fuzz_dir, capsys, text):
 @FUZZ
 @given(text=_csv_text())
 def test_dataset_csv_loads_or_raises_value_error(fuzz_dir, text):
-    _loads_or_value_error(load_dataset_csv, fuzz_dir / "gp_dataset.csv", text)
+    loaded = _loads_or_value_error(load_dataset_csv, fuzz_dir / "gp_dataset.csv", text)
+    event("loaded" if loaded else "ValueError")
 
 
 @FUZZ

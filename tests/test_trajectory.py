@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gpfl.dynamics import ManipulatorModel, ScaledIdentityNominal, simulate
 from gpfl.gpr import mismatch_target, save_dataset_csv
-from gpfl.trajectory import (SinusoidSpec, build_training_set, evaluate,
+from gpfl.trajectory import (GRID_BLOCK, SinusoidSpec, build_training_set, evaluate,
                              sample_reference, sample_spec)
 from oracles import TwoLinkOracle
 
@@ -104,18 +104,26 @@ class TestSampleReference:
         grid = np.stack([ref.q, ref.dq, ref.ddq], axis=1)
         assert (pointwise.view(np.uint64) == grid.view(np.uint64)).all()
 
-    def test_grid_peak_memory_is_two_phase_arrays(self):
+    def test_grid_peak_memory_is_one_block(self):
+        # beyond the arrays it returns, the grid's traced peak is its block's
+        # temporaries: the same at 50 s and at 200 s
         spec = sample_spec(5)
-        sample_reference(spec, 50.0, 400.0)
-        tracemalloc.start()
-        try:
-            ref = sample_reference(spec, 50.0, 400.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        phase_bytes = spec.frequencies.size * len(ref) * np.dtype(float).itemsize
-        assert len(ref) == 20000
-        assert peak < 3 * phase_bytes, peak / phase_bytes
+
+        def peak_beyond_output(duration):
+            sample_reference(spec, duration, 400.0)
+            tracemalloc.start()
+            try:
+                ref = sample_reference(spec, duration, 400.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(ref) == duration * 400
+            return peak - sum(a.nbytes for a in (ref.times, ref.q, ref.dq, ref.ddq))
+
+        block_phase_bytes = spec.frequencies.size * GRID_BLOCK * np.dtype(float).itemsize
+        extra = peak_beyond_output(50.0)
+        assert extra == peak_beyond_output(200.0)
+        assert extra < 6 * block_phase_bytes, extra / block_phase_bytes
 
     @settings(max_examples=60, deadline=None)
     @given(duration=st.floats(0.05, 5.0), rate=st.floats(20.0, 500.0))
