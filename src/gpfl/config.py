@@ -17,6 +17,7 @@ import numpy as np
 from .control import VARIANTS, ControllerSpec, GainSpec
 from .dynamics import ManipulatorModel, ScaledIdentityNominal, tick_count
 from .textio import FLOAT, read_pairs
+from .trajectory import SinusoidSpec, sample_spec
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,10 @@ class ExperimentConfig:
         # positive, and at least one tick: an empty grid would fail only once
         # a run or the training set is built
         tick_count(self.duration, self.control_rate)
-        for name in ("integrator_substeps", "gp_n_starts", "gp_max_iter", "downsample",
-                     "n_sinusoids"):
+        for name in ("integrator_substeps", "gp_n_starts", "gp_max_iter", "downsample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.omega_min < self.omega_max:
-            raise ValueError("omega_min must be strictly below omega_max")
+        self.make_spec(self.training_seed)  # sample_spec checks n_sinusoids and the omegas
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
         # the factories and the law's spec run their own checks; run them now, not mid-run
@@ -120,6 +119,10 @@ class ExperimentConfig:
 
     def make_gains(self) -> GainSpec:
         return GainSpec(kp=self.kp, kd=self.kd)
+
+    def make_spec(self, seed: int) -> SinusoidSpec:
+        return sample_spec(seed, self.make_model().n_joints, self.n_sinusoids,
+                           self.omega_min, self.omega_max)
 
 
 def _format_value(value) -> str:

@@ -192,14 +192,11 @@ def forward_dynamics(model: ManipulatorModel, q, dq, tau) -> np.ndarray:
 
 
 def total_energy(model: ManipulatorModel, q, dq) -> float:
-    """Kinetic 0.5 dq^T M(q) dq plus potential energy, zero with both COMs at y = 0."""
+    """Kinetic 0.5 dq^T M(q) dq plus the potential g1 sin q1 + g2 sin(q1 + q2),
+    zero with both COMs at y = 0, whose gradient `gravity` returns."""
     dq = np.asarray(dq, dtype=float)
-    m1, m2 = model.masses
-    l1, _ = model.lengths
-    r1, r2 = model.com_offsets
-    y1 = r1 * math.sin(q[0])
-    y2 = l1 * math.sin(q[0]) + r2 * math.sin(q[0] + q[1])
-    return 0.5 * dq @ inertia(model, q) @ dq + model.gravity * (m1 * y1 + m2 * y2)
+    _, _, _, g1, g2 = model._coeffs
+    return 0.5 * dq @ inertia(model, q) @ dq + g1 * math.sin(q[0]) + g2 * math.sin(q[0] + q[1])
 
 
 def tick_count(duration: float, rate: float) -> int:

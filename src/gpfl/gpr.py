@@ -15,7 +15,6 @@ import ctypes
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,10 +63,12 @@ class IllConditionedDatasetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeKernelParams:
-    """Signal variance lam and per-dimension ARD lengthscales."""
+    """Signal variance lam and per-dimension ARD lengthscales; `weights`,
+    -1/lengthscale^2, is what `_se` multiplies the squared differences by."""
 
     lam: float
     lengthscales: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -78,6 +79,7 @@ class SeKernelParams:
             raise ValueError("lam must be positive and finite")
         if ls.ndim != 1 or ls.size == 0 or not (np.isfinite(ls).all() and (ls > 0).all()):
             raise ValueError("lengthscales must be a non-empty vector of positive finite scalars")
+        object.__setattr__(self, "weights", -1.0 / ls ** 2)
 
 
 @dataclass
@@ -122,9 +124,7 @@ class GpModel:
     Immutable after fit; predict only reads from it.  The factors and weights
     are validated once here, so predict need not rescan them per query: each
     factor is a finite, Fortran-ordered (n, n) array with a positive
-    diagonal, each weight vector a finite (n,) array.  `se_weights` holds each
-    output's -1/lengthscale^2, the vector `_se` multiplies the squared
-    differences by, computed once for `predict`.
+    diagonal, each weight vector a finite (n,) array.
     """
 
     dataset: GpDataset
@@ -132,7 +132,6 @@ class GpModel:
     alphas: tuple
     chols: tuple
     jitters: tuple
-    se_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.dataset.n_samples
@@ -153,8 +152,6 @@ class GpModel:
                 raise ValueError(f"weights {i} are not finite")
         object.__setattr__(self, "chols", chols)
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "se_weights",
-                           tuple(-1.0 / p.lengthscales ** 2 for p in self.params))
 
     @property
     def n_outputs(self) -> int:
@@ -175,15 +172,12 @@ def _pairwise_sq_diffs(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray
     return np.square(d, out=d)
 
 
-def _se(sq_diffs: np.ndarray, lam, lengthscales: np.ndarray, out=None) -> np.ndarray:
-    """The one SE-ARD kernel formula, over per-dimension squared differences.
-
-    With `out` every step writes into it, so no temporary of the result's
-    shape is made.  Negating the weights instead of the product is exact.
-    `predict` repeats these two steps on `GpModel.se_weights`, bit for bit.
-    """
-    k = np.matmul(sq_diffs, -1.0 / lengthscales ** 2, out=out)
-    return np.multiply(lam, np.exp(k, out=out), out=out)
+def _se(sq_diffs: np.ndarray, params: SeKernelParams, out=None) -> np.ndarray:
+    """The one SE-ARD kernel formula, over per-dimension squared differences:
+    exp and the lam product run in place on the matmul's result (`out` or a
+    new array).  Negating the weights instead of the product is exact."""
+    k = np.matmul(sq_diffs, params.weights, out=out)
+    return np.multiply(params.lam, np.exp(k, out=k), out=k)
 
 
 def se_kernel(x, y, params: SeKernelParams) -> float:
@@ -192,12 +186,11 @@ def se_kernel(x, y, params: SeKernelParams) -> float:
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.shape != params.lengthscales.shape:
         raise ValueError("kernel arguments must match the lengthscale dimension")
-    return float(_se((xv - yv) ** 2, params.lam, params.lengthscales))
+    return float(_se((xv - yv) ** 2, params, out=np.empty(())))
 
 
 def kernel_matrix(X: np.ndarray, params: SeKernelParams) -> np.ndarray:
-    return _se(_pairwise_sq_diffs(np.asarray(X, dtype=float)), params.lam,
-               params.lengthscales)
+    return _se(_pairwise_sq_diffs(np.asarray(X, dtype=float)), params)
 
 
 def mismatch_target(nominal, q, dq, ddq, tau) -> np.ndarray:
@@ -281,10 +274,9 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     """
     n, _, dim = sq_diffs.shape
     K_buf, L_buf, WK_buf = work
-    lam = np.exp(theta[0])
-    ls = np.exp(theta[1:])
-    K = _se(sq_diffs, lam, ls, out=K_buf)
-    L, jitter = stable_cholesky(K, lam, noise_var, out=L_buf)
+    params = SeKernelParams(np.exp(theta[0]), np.exp(theta[1:]))
+    K = _se(sq_diffs, params, out=K_buf)
+    L, jitter = stable_cholesky(K, params.lam, noise_var, out=L_buf)
     alpha = _cho_solve(L, y)
     lml = (-0.5 * float(y @ alpha)
            - float(np.log(np.diag(L)).sum())
@@ -304,7 +296,7 @@ def _lml_and_grad(sq_diffs: np.ndarray, y: np.ndarray, noise_var: float,
     WK *= K
     grad = np.empty_like(theta)
     grad[0] = 0.5 * (WK.sum() + jitter * trace_w)
-    grad[1:] = WK.reshape(-1) @ sq_diffs.reshape(n * n, dim) / ls ** 2
+    grad[1:] = WK.reshape(-1) @ sq_diffs.reshape(n * n, dim) / params.lengthscales ** 2
     return lml, grad
 
 
@@ -451,15 +443,11 @@ def _factorize(dataset: GpDataset, params_per_output, sq_diffs: np.ndarray) -> G
     params = tuple(params_per_output)
     if len(params) != dataset.n_outputs:
         raise ValueError("need one SeKernelParams per output")
-    n = dataset.n_samples
     alphas, chols, jitters = [], [], []
     for i, p in enumerate(params):
         if p.lengthscales.shape != (dataset.input_dim,):
             raise ValueError("lengthscales must match the input dimension")
-        # K in one buffer of its own (`_se` without `out` makes three), freed
-        # once factored
-        L, jitter = stable_cholesky(_se(sq_diffs, p.lam, p.lengthscales, out=np.empty((n, n))),
-                                    p.lam, dataset.noise_std ** 2)
+        L, jitter = stable_cholesky(_se(sq_diffs, p), p.lam, dataset.noise_std ** 2)
         alphas.append(_cho_solve(L, dataset.targets[:, i]))
         chols.append(L)
         jitters.append(jitter)
@@ -483,9 +471,8 @@ def predict(model: GpModel, x):
     np.square(sq_diffs, out=sq_diffs)
     means = np.empty(model.n_outputs)
     variances = np.empty(model.n_outputs)
-    for i, (p, weights) in enumerate(zip(model.params, model.se_weights)):
-        k_star = np.matmul(sq_diffs, weights)
-        k_star = np.multiply(p.lam, np.exp(k_star, out=k_star), out=k_star)
+    for i, p in enumerate(model.params):
+        k_star = _se(sq_diffs, p)
         means[i] = float(k_star @ model.alphas[i])
         # what solve_triangular runs for a Fortran-ordered factor, minus its
         # per-call finiteness scan of L (GpModel checked L once)
@@ -512,7 +499,7 @@ def predict_rows(model: GpModel, X):
         rows = slice(start, start + ROW_BLOCK)
         sq_diffs = _pairwise_sq_diffs(X[rows], model.dataset.inputs)
         for i, p in enumerate(model.params):
-            k_star = _se(sq_diffs, p.lam, p.lengthscales)
+            k_star = _se(sq_diffs, p)
             means[rows, i] = k_star @ model.alphas[i]
             # info is 0: GpModel checked that the factor's diagonal is positive
             w, _ = _trtrs(model.chols[i], k_star.T, lower=1)
@@ -656,39 +643,44 @@ def load_dataset_csv(path) -> GpDataset:
                      noise_std=0.0 if noise_std is None else noise_std)
 
 
+def model_keys(n_outputs: int, input_dim: int) -> dict:
+    """`gp_model.txt`'s keys in written order, each with its value's rule
+    (kind, lower bound, strict); `dataset`, which is optional, has none."""
+    keys = {"dataset": None, "n_outputs": (int, 1, False), "n_samples": (int, 1, False),
+            "input_dim": (int, 1, False), "noise_std": (float, 0, False)}
+    for i in range(1, n_outputs + 1):
+        keys[f"output{i}.lambda"] = (float, 0, True)
+        keys.update({f"output{i}.lengthscale{d}": (float, 0, True)
+                     for d in range(1, input_dim + 1)})
+        keys[f"output{i}.jitter"] = (float, 0, False)
+    return keys
+
+
 def save_model_txt(model: GpModel, path, dataset_ref: str = "") -> None:
-    """Flat key-value export of the fitted hyperparameters."""
-    lines = []
-    if dataset_ref:
-        lines.append(f"dataset={dataset_ref}")
-    lines.append(f"n_outputs={model.n_outputs}")
-    lines.append(f"n_samples={model.n_samples}")
-    lines.append(f"input_dim={model.input_dim}")
-    lines.append(f"noise_std={FLOAT % model.dataset.noise_std}")
-    for i, p in enumerate(model.params, start=1):
-        lines.append(f"output{i}.lambda={FLOAT % p.lam}")
-        for d, ell in enumerate(p.lengthscales, start=1):
-            lines.append(f"output{i}.lengthscale{d}={FLOAT % ell}")
-        lines.append(f"output{i}.jitter={FLOAT % model.jitters[i - 1]}")
+    """Flat key-value export of the fitted hyperparameters: `model_keys` in
+    order, the `dataset` line only for a non-empty `dataset_ref`."""
+    values = [dataset_ref, model.n_outputs, model.n_samples, model.input_dim,
+              model.dataset.noise_std]
+    for p, jitter in zip(model.params, model.jitters):
+        values += [p.lam, *p.lengthscales, jitter]
+    keys = model_keys(model.n_outputs, model.input_dim).items()
+    lines = [f"{key}={FLOAT % value if rule and rule[0] is float else value}"
+             for (key, rule), value in zip(keys, values) if key != "dataset" or value]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_MODEL_KEYS = ("dataset", "n_outputs", "n_samples", "input_dim", "noise_std")
-_OUTPUT_KEY = re.compile(r"output([1-9]\d*)\.(?:lambda|jitter|lengthscale([1-9]\d*))")
 
 
 def load_model_txt(path):
     """Parse a key-value export; returns (params_per_output, metadata dict).
 
-    Every key must be one save_model_txt writes for the file's n_outputs and
-    input_dim; any other key, any count below 1, any negative or non-finite
-    noise level or jitter, and any lambda or lengthscale that is not finite
-    and > 0 is an error naming its line.
+    The keys are `model_keys` of the file's n_outputs and input_dim, all but
+    `dataset` required; a missing key names the file, and any other key or a
+    value its rule rejects (a count below 1, a negative or non-finite noise
+    level or jitter, a lambda or lengthscale not finite and > 0) its line.
     """
     pairs = read_pairs(path)
 
-    def need(key, minimum, kind=float, strict=False):
+    def need(key, kind, minimum, strict):
         if key not in pairs:
             raise ValueError(f"{path}: missing key {key!r}")
         lineno, raw = pairs[key]
@@ -700,21 +692,15 @@ def load_model_txt(path):
             raise ValueError(f"{path}:{lineno}: {key} must be {rule}, got {raw}")
         return value
 
-    n_outputs = need("n_outputs", 1, int)
-    input_dim = need("input_dim", 1, int)
+    head = model_keys(0, 0)  # the keys of every file
+    n_outputs, input_dim = (need(key, *head[key]) for key in ("n_outputs", "input_dim"))
+    # a count above the file's number of keys leaves a key missing; capped
+    # there, the table stays the size of the file
+    keys = model_keys(min(n_outputs, len(pairs)), min(input_dim, len(pairs)))
     for key, (lineno, _) in pairs.items():
-        output = _OUTPUT_KEY.fullmatch(key)
-        known = key in _MODEL_KEYS or (output is not None and int(output[1]) <= n_outputs
-                                       and int(output[2] or 1) <= input_dim)
-        if not known:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    need("n_samples", 1, int)
-    need("noise_std", 0)
-    params = []
-    for i in range(1, n_outputs + 1):
-        lam = need(f"output{i}.lambda", 0, strict=True)
-        ls = np.array([need(f"output{i}.lengthscale{d}", 0, strict=True)
-                       for d in range(1, input_dim + 1)])
-        need(f"output{i}.jitter", 0)
-        params.append(SeKernelParams(lam=lam, lengthscales=ls))
+    values = [need(key, *rule) for key, rule in keys.items() if rule is not None]
+    params = [SeKernelParams(lam=row[0], lengthscales=row[1:-1])  # lambda, lengthscales, jitter
+              for row in np.reshape(values[len(head) - 1:], (n_outputs, -1))]
     return params, {key: raw for key, (_, raw) in pairs.items()}

@@ -25,8 +25,7 @@ from .dynamics import (ManipulatorModel, RunTrace, SimulationAborted, coriolis,
 from .gpr import (GpDataset, SeKernelParams, default_init_params, fit,
                   mismatch_target, mismatch_targets, model_from_params, predict)
 from .textio import FLOAT, write_table
-from .trajectory import (ReferenceTrajectory, build_training_set, evaluate,
-                         sample_reference, sample_spec)
+from .trajectory import ReferenceTrajectory, build_training_set, evaluate, sample_reference
 
 
 @dataclass
@@ -68,8 +67,7 @@ def train_gp(config: ExperimentConfig, model: ManipulatorModel | None = None,
     """Build the mismatch dataset from the training trajectory and fit the GP."""
     model = config.make_model() if model is None else model
     nominal = config.make_nominal(model) if nominal is None else nominal
-    spec = sample_spec(config.training_seed, model.n_joints, config.n_sinusoids,
-                       config.omega_min, config.omega_max)
+    spec = config.make_spec(config.training_seed)
     dataset = build_training_set(model, nominal, spec, config.duration,
                                  config.control_rate, config.downsample,
                                  config.noise_std)
@@ -90,12 +88,17 @@ def build_tick_controller(variant: str, model: ManipulatorModel, nominal,
     return lambda k, t, q, dq: control(law, nominal, q, dq, evaluate(spec, t))
 
 
+# `robust_record`'s columns in trace-CSV order: name -> one value per joint?
+RECORD_COLUMNS = {"rho": False, "ehat": True, "evar": True, "etrue": True, "V": False,
+                  "z_norm": False}
+
+
 def robust_record(law: ControllerSpec, model: ManipulatorModel, nominal, q, dq,
                   desired) -> dict:
     """The robust law's per-tick values, rebuilt after the run from (T, n) state
     rows q, dq and reference rows `desired` = (q_d, dq_d, ddq_d): rho, the GP
     mean `ehat` and variance `evar` at the query (q, dq, a), the true mismatch
-    `etrue` there, V = xi^T Q xi and ||z||, keyed like the trace-CSV columns.
+    `etrue` there, V = xi^T Q xi and ||z||, keyed by `RECORD_COLUMNS`.
     The law's formulas run on all rows at once and `nominal` sees one state at
     a time, so the values are the ticks' up to rounding."""
     qd, dqd, ddqd = desired
@@ -106,9 +109,9 @@ def robust_record(law: ControllerSpec, model: ManipulatorModel, nominal, q, dq,
     Q = law.lyapunov
     z = np.fromiter((nominal.apply_inverse(*s) for s in zip(q, xi @ Q[n:, :].T)),
                     np.dtype((float, n)), len(q))
-    return {"rho": gpr.rho_from_mean_var(ehat, evar, law.beta)[0], "ehat": ehat,
-            "evar": evar, "etrue": mismatch_targets(model, nominal, q, dq, a),
-            "V": np.sum((xi @ Q) * xi, axis=1), "z_norm": np.linalg.norm(z, axis=1)}
+    return dict(zip(RECORD_COLUMNS, (gpr.rho_from_mean_var(ehat, evar, law.beta)[0], ehat, evar,
+                                     mismatch_targets(model, nominal, q, dq, a),
+                                     np.sum((xi @ Q) * xi, axis=1), np.linalg.norm(z, axis=1))))
 
 
 def run_tracking(config: ExperimentConfig, controller: str, seed: int,
@@ -125,8 +128,7 @@ def run_tracking(config: ExperimentConfig, controller: str, seed: int,
         gp, _, _ = train_gp(config, model, nominal)
     if add_w and lyapunov is None:
         lyapunov = design_lyapunov(gains, model.n_joints)
-    spec = sample_spec(seed, model.n_joints, config.n_sinusoids,
-                       config.omega_min, config.omega_max)
+    spec = config.make_spec(seed)
     ref = sample_reference(spec, config.duration, config.control_rate)
     tick = build_tick_controller(controller, model, nominal, gains, spec,
                                  gp=gp, lyapunov=lyapunov, beta=config.beta,
@@ -212,10 +214,8 @@ def write_trace_csv(out_dir, result: RunResult) -> Path:
     path = Path(out_dir) / f"trace_{result.controller}_{result.seed}.csv"
     trace, ref = result.trace, result.reference
     n, n_j = trace.q.shape
-    diagnostics = result.diagnostics
-    if diagnostics is None:
-        nan, nan_j = np.full(n, np.nan), np.full((n, n_j), np.nan)
-        diagnostics = dict(rho=nan, ehat=nan_j, evar=nan_j, etrue=nan_j, V=nan, z_norm=nan)
+    diagnostics = result.diagnostics or {name: np.full((n, n_j) if per_joint else n, np.nan)
+                                         for name, per_joint in RECORD_COLUMNS.items()}
     series = {"q": trace.q, "dq": trace.dq, "qd": ref.q, "qe": ref.q - trace.q,
               "dqe": ref.dq - trace.dq, "tau": trace.tau, **diagnostics}
     names = ["t"]
@@ -364,8 +364,7 @@ def validate(config: ExperimentConfig | None = None, seed: int = 0,
                    "; ".join(errors) or f"max residual {worst:.2e}, min eig {min_eig:.3e}"))
 
     # trajectory: analytic derivatives against central differences
-    spec = sample_spec(config.training_seed, 2, config.n_sinusoids,
-                       config.omega_min, config.omega_max)
+    spec = config.make_spec(config.training_seed)
     worst = 0.0
     h = 1e-5
     for _ in range(100):

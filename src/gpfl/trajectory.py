@@ -64,10 +64,10 @@ def sample_spec(seed: int, n_joints: int = 2, n_sinusoids: int = 5,
                 omega_min: float = 0.1 * np.pi,
                 omega_max: float = 0.3 * np.pi) -> SinusoidSpec:
     """Draw a reference spec; each joint gets its own independent frequencies."""
-    if not omega_min < omega_max:
-        raise ValueError("omega_min must be strictly below omega_max")
     if n_sinusoids < 1:
         raise ValueError("n_sinusoids must be >= 1")
+    if not omega_min < omega_max:
+        raise ValueError("omega_min must be strictly below omega_max")
     rng = np.random.default_rng(seed)
     freqs = rng.uniform(omega_min, omega_max, size=(n_joints, n_sinusoids))
     return SinusoidSpec(frequencies=freqs, amplitude=2.0 * np.pi / n_sinusoids, seed=seed)

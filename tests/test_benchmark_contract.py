@@ -62,8 +62,7 @@ def test_separately_wrapped_names_exist():
 def test_tick_controller_takes_variant_first():
     config = harness.ExperimentConfig(duration=0.05, eval_seeds=(0,))
     model = config.make_model()
-    spec = harness.sample_spec(0, model.n_joints, config.n_sinusoids,
-                               config.omega_min, config.omega_max)
+    spec = config.make_spec(0)
     for variant in ("true", "nominal"):
         tick = harness.build_tick_controller(variant, model, config.make_nominal(model),
                                              config.make_gains(), spec)

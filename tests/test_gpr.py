@@ -71,6 +71,20 @@ class TestKernel:
             for j in range(6):
                 assert K[i, j] == pytest.approx(se_kernel(X[i], X[j], params), rel=1e-12)
 
+    def test_kernel_matrix_allocates_one_matrix_beyond_its_differences(self):
+        # `_se` runs exp and the lam product in place on its matmul result
+        n, dim = 200, 6
+        X = np.random.default_rng(3).normal(size=(n, dim))
+        params = SeKernelParams(lam=1.3, lengthscales=np.full(dim, 0.8))
+        tracemalloc.start()
+        try:
+            kernel_matrix(X, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = n * n * np.dtype(float).itemsize
+        assert peak - dim * matrix_bytes < 2 * matrix_bytes, peak / matrix_bytes - dim
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SeKernelParams(lam=0.0, lengthscales=[1.0])
@@ -336,8 +350,7 @@ class TestPredictMatchesReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 300),
            dim=st.integers(1, 6), n_outputs=st.integers(1, 2))
     def test_bitwise_equal_to_se_and_trtrs(self, seed, n, dim, n_outputs):
-        # predict's kernel runs on the weights GpModel caches; it must give
-        # the bits of `_se` on the lengthscales, then one `_trtrs` per output
+        # predict must give the bits of `_se`, then one `_trtrs` per output
         rng = np.random.default_rng(seed)
         ds = _random_dataset(rng, n=n, dim=dim, n_outputs=n_outputs, noise_std=0.05)
         params = [SeKernelParams(lam=float(rng.uniform(0.3, 3.0)),
@@ -348,7 +361,7 @@ class TestPredictMatchesReference:
             sq_diffs = (ds.inputs - x) ** 2
             expected = np.empty((2, n_outputs))
             for i, p in enumerate(params):
-                k_star = gpr._se(sq_diffs, p.lam, p.lengthscales)
+                k_star = gpr._se(sq_diffs, p)
                 w, _ = gpr._trtrs(model.chols[i], k_star, lower=1)
                 expected[:, i] = float(k_star @ model.alphas[i]), max(p.lam - float(w @ w), 0.0)
             got = np.array(predict(model, x))
@@ -534,7 +547,8 @@ class TestLmlWorkspace:
                 with pytest.raises(np.linalg.LinAlgError):
                     lml_and_grad_reference(sq_diffs, y, 0.0, theta)
                 continue
-            _, jitter = stable_cholesky(gpr._se(sq_diffs, lam, np.exp(theta[1:])), lam, 0.0)
+            _, jitter = stable_cholesky(gpr._se(sq_diffs, SeKernelParams(lam, np.exp(theta[1:]))),
+                                        lam, 0.0)
             assert (jitter > BASE_JITTER_FACTOR * lam) == (kind == "climb")
             lml, grad = gpr._lml_and_grad(sq_diffs, y, 0.0, theta, work)
             ref_lml, ref_grad = lml_and_grad_reference(sq_diffs, y, 0.0, theta)
@@ -1197,6 +1211,28 @@ class TestSerialization:
         with pytest.raises(ValueError) as exc:
             load_model_txt(path)
         assert message in str(exc.value)
+
+    @pytest.mark.parametrize("key, missing", [("n_outputs", "output3.lambda"),
+                                              ("input_dim", "output1.lengthscale4")])
+    def test_model_txt_count_far_above_its_keys_names_the_first_missing_one(
+            self, tmp_path, key, missing):
+        # the key table is capped at the file's size, not built for 10**12 outputs
+        ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)
+        params = SeKernelParams(lam=1.0, lengthscales=[0.5, 1.0, 2.0])
+        path = tmp_path / "gp_model.txt"
+        save_model_txt(model_from_params(ds, [params, params]), path)
+        path.write_text(re.sub(f"{key}=.*", f"{key}={10 ** 12}", path.read_text()))
+        with pytest.raises(ValueError) as exc:
+            load_model_txt(path)
+        assert str(exc.value) == f"{path}: missing key {missing!r}"
+
+    def test_model_txt_writes_model_keys_in_order(self, tmp_path):
+        ds = _random_dataset(np.random.default_rng(32), n=5, dim=3)
+        params = SeKernelParams(lam=1.0, lengthscales=[0.5, 1.0, 2.0])
+        path = tmp_path / "gp_model.txt"
+        save_model_txt(model_from_params(ds, [params, params]), path, dataset_ref="ds.csv")
+        written = [line.partition("=")[0] for line in path.read_text().splitlines()]
+        assert written == list(gpr.model_keys(2, 3))
 
     def test_model_txt_round_trip(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -18,7 +18,8 @@ from gpfl.dynamics import ManipulatorModel, RunTrace, ScaledIdentityNominal
 from gpfl.harness import (ControllerStats, RunResult, compute_rmse,
                           run_experiment, run_tracking, summarize, train_gp,
                           validate)
-from gpfl.trajectory import ReferenceTrajectory, build_training_set, sample_spec
+from gpfl.trajectory import (ReferenceTrajectory, build_training_set, sample_reference,
+                             sample_spec)
 from oracles import tick_record_reference
 
 
@@ -215,6 +216,14 @@ class TestConfigIo:
         with pytest.raises(ValueError, match="gp_n_starts"):
             ExperimentConfig(gp_n_starts=value)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"omega_min": 1.0, "omega_max": 0.5}, "omega_min must be strictly below omega_max"),
+        ({"n_sinusoids": 0}, "n_sinusoids must be >= 1")])
+    def test_reference_band_and_count_rejected(self, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**overrides)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", [
         "m1", "m2", "l1", "l2", "r1", "r2", "i1", "i2", "gravity",
@@ -241,6 +250,18 @@ def test_run_tracking_obeys_the_config_rules(controller, seed):
     assert config.training_seed == 1000
     with pytest.raises(ValueError):
         run_tracking(config, controller, seed)
+
+
+def test_run_starts_on_its_reference_plus_the_initial_offsets():
+    config = ExperimentConfig(duration=0.05, n_sinusoids=3, initial_offset_q=0.1,
+                              initial_offset_dq=-0.2)
+    result = run_tracking(config, "nominal", 0)
+    ref = result.reference
+    spec = sample_spec(0, 2, config.n_sinusoids, config.omega_min, config.omega_max)
+    np.testing.assert_array_equal(ref.q, sample_reference(spec, config.duration,
+                                                          config.control_rate).q)
+    np.testing.assert_array_equal(result.trace.q[0], ref.q[0] + 0.1)
+    np.testing.assert_array_equal(result.trace.dq[0], ref.dq[0] - 0.2)
 
 
 class TestRunExperiment:
